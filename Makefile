@@ -1,11 +1,11 @@
 # Verify path for the hetsim repro. `make verify` is what CI (and the
 # per-PR tier-1 gate) should run: build + vet + tests + the race
-# detector over the whole module, including the parallel-engine
-# determinism and stress tests.
+# detector over the whole module, including the -j determinism and
+# stress tests, plus the hetbench module's smoke test.
 
 GO ?= go
 
-.PHONY: build vet test race fuzz faults topologies bench bench-json bench-parallel bench-controller bench-telemetry bench-store sweepd chaos profile profile-parallel verify
+.PHONY: build vet test race hetbench fuzz faults topologies bench bench-json bench-controller bench-telemetry bench-store sweepd chaos profile verify
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,12 @@ test: build
 # cache from many goroutines.
 race:
 	$(GO) test -race ./...
+
+# cmd/hetbench is a module of its own, so `go test ./...` above never
+# reaches it; its smoke test runs every workload briefly against the
+# simulator packages it imports.
+hetbench:
+	cd cmd/hetbench && $(GO) test ./...
 
 # Short fuzz passes over the text parsers and the durable-store key /
 # entry codecs (seed corpora always run as part of plain `make test`).
@@ -53,18 +59,8 @@ bench-json:
 	{ $(GO) test -bench 'BenchmarkKernel' -benchmem -run '^$$' ./internal/sim/ && \
 	  $(GO) test -bench 'BenchmarkController' -benchmem -run '^$$' ./internal/memctrl/ && \
 	  $(GO) test -bench 'BenchmarkHierarchyReadPath' -benchmem -run '^$$' ./internal/core/ && \
-	  $(GO) test -bench 'BenchmarkSimulatorSpeed|BenchmarkSystemParallel' -benchmem -benchtime 5x -run '^$$' . ; } \
+	  $(GO) test -bench 'BenchmarkSimulatorSpeed' -benchmem -benchtime 5x -run '^$$' . ; } \
 	| $(GO) run ./cmd/benchjson > BENCH_kernel.json
-
-# Lane-parallel execution baseline as committed JSON (see DESIGN.md
-# "Parallel lane execution"): the serial reference run next to the same
-# run on lanes, plus the barrier-heavy DL variant. ns/op ratios only
-# mean something with the recorded core count — regenerate on a
-# multi-core host after lane or drive-loop changes and commit the diff.
-bench-parallel:
-	$(GO) test -bench 'BenchmarkSimulatorSpeed|BenchmarkSystemParallel' \
-		-benchmem -benchtime 5x -run '^$$' . \
-	| $(GO) run ./cmd/benchjson > BENCH_parallel.json
 
 # Controller scheduling baseline as committed JSON (see DESIGN.md
 # "Controller scheduling performance"): the controller microbenchmark
@@ -111,12 +107,4 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	@echo "wrote cpu.pprof and mem.pprof"
 
-# The same profiles under lane-parallel execution. Expect runtime
-# scheduler frames (park/unpark around the window barriers); see
-# DESIGN.md "Profiling the simulator" for how to read them.
-profile-parallel:
-	$(GO) run ./cmd/experiments -only fig6 -benchmarks libquantum,mcf -scale test \
-		-parallel -cpuprofile cpu-parallel.pprof -memprofile mem-parallel.pprof > /dev/null
-	@echo "wrote cpu-parallel.pprof and mem-parallel.pprof"
-
-verify: build vet test race
+verify: build vet test race hetbench

@@ -44,10 +44,6 @@ type JobSpec struct {
 	Cores         int      `json:"cores,omitempty"`
 	Pair          bool     `json:"pair,omitempty"`
 	EpochInterval int64    `json:"epoch_interval,omitempty"`
-	// Parallel selects lane-parallel execution for each cell. Output is
-	// byte-identical to serial and the store key does not include it, so
-	// serial and parallel jobs share cache entries.
-	Parallel bool `json:"parallel,omitempty"`
 }
 
 // normalize fills defaults and canonicalizes free-form fields so that
@@ -186,6 +182,14 @@ type Server struct {
 
 	mu   sync.Mutex
 	jobs map[string]*job
+	// scanned maps each state-dir file already submitted or permanently
+	// rejected to the modification time it had then. A file whose name
+	// is not its job ID (hand-dropped, or a checkpoint from an older
+	// spec format) or whose spec is invalid would otherwise be re-read,
+	// re-submitted and logged on every poll. Rewriting the file makes it
+	// eligible again. Touched only by scanJobs, which never runs
+	// concurrently with itself.
+	scanned map[string]time.Time
 }
 
 var (
@@ -241,6 +245,7 @@ func NewServer(opts Options) (*Server, error) {
 		pool:    runpool.New[string, hetsim.Results](opts.Workers),
 		drainCh: make(chan struct{}),
 		jobs:    map[string]*job{},
+		scanned: map[string]time.Time{},
 	}
 	if err := s.scanJobs("resumed"); err != nil {
 		return nil, err
@@ -256,11 +261,13 @@ func NewServer(opts Options) (*Server, error) {
 func (s *Server) Owner() string { return s.leases.Owner() }
 
 // scanJobs submits every job whose spec file sits in the state
-// directory, skipping ones already known. It is both startup resume
-// and the poll loop's rescan: a job POSTed to any worker sharing the
-// state directory is checkpointed before it is enqueued, so every
-// peer's next scan joins it. The store decides which cells still need
-// simulating.
+// directory, skipping ones already known and files already processed.
+// It is both startup resume and the poll loop's rescan: a job POSTed
+// to any worker sharing the state directory is checkpointed before it
+// is enqueued, so every peer's next scan joins it. The store decides
+// which cells still need simulating. A file that cannot be read is
+// retried on the next scan; one that does not parse or validate is
+// rejected once.
 func (s *Server) scanJobs(verb string) error {
 	dir := filepath.Join(s.opts.StateDir, "jobs")
 	names, err := os.ReadDir(dir)
@@ -280,11 +287,20 @@ func (s *Server) scanJobs(verb string) error {
 		if known {
 			continue
 		}
+		info, err := de.Info()
+		if err != nil {
+			fmt.Fprintf(s.opts.Log, "sweepd: skipping %s: %v\n", name, err)
+			continue
+		}
+		if at, ok := s.scanned[name]; ok && at.Equal(info.ModTime()) {
+			continue
+		}
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			fmt.Fprintf(s.opts.Log, "sweepd: skipping %s: %v\n", name, err)
 			continue
 		}
+		s.scanned[name] = info.ModTime()
 		var spec JobSpec
 		if err := json.Unmarshal(b, &spec); err != nil {
 			fmt.Fprintf(s.opts.Log, "sweepd: skipping %s: %v\n", name, err)
@@ -391,7 +407,6 @@ func buildCells(spec JobSpec) ([]*cell, error) {
 				return nil, err
 			}
 		}
-		cfg.Parallel = spec.Parallel
 		runScale := scale
 		if spec.Param != "" {
 			if err := grid.Apply(&cfg, &runScale, spec.Param, v); err != nil {

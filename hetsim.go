@@ -168,11 +168,6 @@ func NewSystem(cfg Config, benchmark string) (*System, error) {
 // Run executes warmup plus a measured window and returns Results.
 func (s *System) Run(scale Scale) Results { return s.inner.Run(scale) }
 
-// ParallelFallback reports why a run with Config.Parallel would fall
-// back to the single-threaded kernel, or "" when the configured memory
-// organization is lane-eligible.
-func (s *System) ParallelFallback() string { return s.inner.ParallelFallback() }
-
 // EpochSeries is a per-epoch telemetry time-series (Results.Epochs):
 // one row per Scale.EpochInterval cycles of the measured window, with
 // columns for IPC, queue depths, MSHR occupancy, CWF early-wake gap,

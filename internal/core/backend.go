@@ -58,76 +58,6 @@ type backend interface {
 // prefetches (fraction of the read queue).
 const prefetchHeadroom = 0.5
 
-// parallelBackend is a backend whose controllers can advance on event
-// lanes. laneFallback reports why lane execution is impossible ("" when
-// it is not); enableParallel attaches the lanes — call it only when
-// laneFallback is empty and before any request has been enqueued.
-type parallelBackend interface {
-	laneFallback() string
-	enableParallel()
-}
-
-// Serial-fallback reasons reported by System.ParallelFallback. The
-// conventional line organization stays serial by design (one shared
-// request pool, one interleaved channel set — the lane split buys
-// nothing the per-channel queues don't already model), per-cycle
-// ticking defeats the window merge's same-cycle ordering guarantee,
-// and a topology whose channels all hang off one command bus collapses
-// to a single lane group, which has nothing to run in parallel.
-const (
-	FallbackSerialBackend = "serial-only backend (conventional line organization)"
-	FallbackPerCycle      = "per-cycle controller ticking"
-	FallbackSingleLane    = "fewer than two independent command-bus groups"
-)
-
-// busGroups partitions controllers into lane groups: channels sharing a
-// command bus land in one group, because Try* admission consults the
-// bus's reservation state and a lane serializes its channels — the lane
-// window IS the shared bus's reservation horizon. Channels with private
-// buses form singleton groups. Group order follows controller order, so
-// the partition (and the lane ids derived from it) is deterministic.
-func busGroups(ctrls []*memctrl.Controller) [][]*memctrl.Controller {
-	idx := make(map[*dram.CmdBus]int, len(ctrls))
-	var groups [][]*memctrl.Controller
-	for _, c := range ctrls {
-		gi, ok := idx[c.Ch.Cmd]
-		if !ok {
-			gi = len(groups)
-			idx[c.Ch.Cmd] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], c)
-	}
-	return groups
-}
-
-// laneFallbackOf is the shared eligibility check of the parallel
-// backends: every controller must be on the timing-directed tick path
-// (a per-cycle controller ticks on phase-0 events each cycle, whose
-// same-cycle ordering against other lanes the merge cannot pin), and
-// the bus partition must yield at least two groups.
-func laneFallbackOf(ctrls []*memctrl.Controller) string {
-	for _, c := range ctrls {
-		if c.Cfg.PerCycle {
-			return FallbackPerCycle
-		}
-	}
-	if len(busGroups(ctrls)) < 2 {
-		return FallbackSingleLane
-	}
-	return ""
-}
-
-// enableLanes moves each bus group of ctrls onto a fresh event lane.
-func enableLanes(eng *sim.Engine, ctrls []*memctrl.Controller) {
-	for _, g := range busGroups(ctrls) {
-		ln := eng.NewLane(laneLookahead(g))
-		for _, c := range g {
-			c.SetLane(ln)
-		}
-	}
-}
-
 // firstBeat is when the first (reordered, critical) word of a burst is
 // on the pins: one DDR beat after data start.
 func firstBeat(r *memctrl.Request, ch *dram.Channel) sim.Cycle {
@@ -349,11 +279,10 @@ func newCWF(eng *sim.Engine, lineCfg, critCfg dram.Config, opt cwfOptions) *cwfB
 		lcc := memctrl.DefaultConfig(lineCfg.Kind)
 		lcc.DeepSleep = opt.deepSleep
 		ctrl := memctrl.New(eng, lc, lcc)
-		// One request pool per controller: posted writes return their
-		// request from inside the issuing controller's lane, and under
-		// per-bus-group lanes each controller may own a lane of its own,
-		// so pools must not cross controllers. Gets happen in main
-		// context only, which never runs concurrently with a window.
+		// One request pool per controller: each channel's in-flight
+		// requests stay packed in that channel's own slabs, which its
+		// queue walks scan, and a request always returns to the pool of
+		// the controller that issued it.
 		ctrl.Pool = new(memctrl.Pool)
 		b.lineChan = append(b.lineChan, lc)
 		b.lineCtrl = append(b.lineCtrl, ctrl)
@@ -438,13 +367,9 @@ func (b *cwfBackend) critDone(r *memctrl.Request) {
 }
 
 // lineIssued (via Request.OnIssue) schedules requested-word delivery on
-// the line part's first (reordered) beat. It runs in the issuing
-// controller's lane, and the delivery is a cross-domain emission to the
-// hierarchy — the first beat is at least TRL past the issue cycle, which
-// is the lookahead the controller's lane was created with. (In serial
-// mode Ln is the main-queue proxy and this is a plain schedule.)
+// the line part's first (reordered) beat.
 func (b *cwfBackend) lineIssued(r *memctrl.Request) {
-	b.lineCtrl[r.Tag].Ln.ScheduleMainEventAt(firstBeat(r, b.lineChan[r.Tag]), b.reqWordH, r)
+	b.eng.ScheduleEventAt(firstBeat(r, b.lineChan[r.Tag]), b.reqWordH, r)
 }
 
 // lineDone (via Request.OnComplete) delivers the full line.
@@ -537,46 +462,6 @@ func (b *cwfBackend) IssueWriteback(lineAddr uint64) bool {
 func (b *cwfBackend) DegradeCrit() { b.critDead = true }
 
 func (b *cwfBackend) Groups() []ChannelGroup { return b.groups }
-
-// allCtrls lists every controller in the fixed line-then-crit order the
-// lane partition (and so lane-id assignment) is derived from.
-func (b *cwfBackend) allCtrls() []*memctrl.Controller {
-	out := make([]*memctrl.Controller, 0, len(b.lineCtrl)+len(b.critCtrl))
-	out = append(out, b.lineCtrl...)
-	return append(out, b.critCtrl...)
-}
-
-// laneFallback reports why the organization cannot run on event lanes
-// ("" when it can). Bus sharing is never disqualifying by itself: a
-// shared bus simply merges its channels into one lane group, whose
-// window serializes them — the default shared crit command bus becomes
-// one crit lane next to the per-channel line lanes, and the §4.2.4
-// private-bus ablation splits into one lane per sub-channel.
-func (b *cwfBackend) laneFallback() string { return laneFallbackOf(b.allCtrls()) }
-
-// parallelizable reports whether the controllers can run on event
-// lanes (the affirmative spelling of laneFallback, kept for tests).
-func (b *cwfBackend) parallelizable() bool { return b.laneFallback() == "" }
-
-// laneLookahead is the minimum distance between an in-window controller
-// dispatch and the earliest event it can schedule outside its lane. The
-// only cross emissions are read-data deliveries: the completion at
-// DataEnd ≥ issue+TRL+Burst and the requested-word beat at ≥ issue+TRL+1
-// (firstBeat is strictly after DataStart). Writes emit nothing.
-func laneLookahead(ctrls []*memctrl.Controller) sim.Cycle {
-	lead := sim.Cycle(1 << 62)
-	for _, c := range ctrls {
-		if t := c.Ch.Cfg.Timing.TRL + 1; t < lead {
-			lead = t
-		}
-	}
-	return lead
-}
-
-// enableParallel moves every bus group onto its own event lane. Call
-// only when laneFallback is empty and before any request has been
-// enqueued.
-func (b *cwfBackend) enableParallel() { enableLanes(b.eng, b.allCtrls()) }
 
 // newPagePlaced builds the §7.1 comparison: channel 0 is a half-size
 // full-line RLDRAM3 channel holding the profiled hot pages; channels

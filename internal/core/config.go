@@ -154,14 +154,6 @@ type SystemConfig struct {
 	// instead of the paper's open-page default (§2 policy comparison).
 	ClosePageLines bool
 
-	// Parallel runs the crit and line channel controllers on separate
-	// goroutines between synchronization horizons when the organization
-	// permits it (split CWF, no command bus shared across the domains,
-	// hint-driven ticking); otherwise the run silently stays serial.
-	// Output is byte-identical either way, so — like TraceFn — Parallel
-	// is not part of a configuration's identity.
-	Parallel bool
-
 	Seed uint64
 }
 

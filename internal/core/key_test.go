@@ -19,7 +19,7 @@ import (
 // presence) only if one of these holds, stated next to the entry:
 //
 //  1. Execution hook: the field observes or controls a run without
-//     changing a completed run's Results (TraceFn, Cancel, Parallel).
+//     changing a completed run's Results (TraceFn, Cancel).
 //  2. Collapsed representation: the field's behavioural content is
 //     carried by another key field — it must be listed as mapping to
 //     that field, never to nil (the organization fields → Topology,
@@ -65,10 +65,6 @@ func TestConfigKeyCoversSystemConfig(t *testing.T) {
 		// cancellation): a run that completes was never affected by it,
 		// and a canceled run is discarded, so it cannot alias results.
 		"Cancel": nil,
-		// Parallel selects an execution strategy with byte-identical
-		// output (its doc comment declares it not part of the identity),
-		// so serial and parallel runs share cache entries.
-		"Parallel": nil,
 	}
 
 	cfgT := reflect.TypeOf(SystemConfig{})

@@ -3,47 +3,107 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"hetsim/internal/faults"
 	"hetsim/internal/trace"
+	"hetsim/internal/workload"
 )
 
-// Serial-vs-parallel differential: the same workload runs twice, once on
-// the single-threaded kernel and once with the crit and line controller
-// domains on separate event lanes, and everything observable — summary
-// results, the full fill trace, and the epoch JSONL stream — must be
-// byte-identical. Unlike the tick-skip differential, sim.events is NOT
-// excluded: the lane loop fires exactly the events the serial kernel
-// fires, so even the engine's own dispatch count must match at every
-// epoch boundary.
+// Concurrent-vs-alone differential. The simulator itself is
+// single-threaded; multi-core throughput comes from running independent
+// systems side by side (the experiment runner's -j, several sweepd
+// workers), and that is only sound if a System shares no mutable state
+// with any other. Each case runs once alone and then as concurrent
+// copies on separate goroutines, and everything observable — summary
+// results, the full fill trace, and the epoch JSONL stream, sim.events
+// included — must be byte-identical. Under -race the concurrent copies
+// also flag any package-level state two systems would write.
 
-// runParMode runs cfg/bench with or without lane parallelism and returns
-// the results, the fill trace, and the serialized epoch stream.
-func runParMode(t *testing.T, cfg SystemConfig, bench string, parallel bool) (Results, []trace.Record, []byte) {
-	t.Helper()
-	var recs []trace.Record
-	cfg.TraceFn = func(r trace.Record) { recs = append(recs, r) }
-	cfg.Parallel = parallel
-	sys, err := NewSystem(cfg, mustSpec(t, bench))
+// parCopies is how many systems run side by side against the reference.
+const parCopies = 2
+
+// parRun is one run's observable output.
+type parRun struct {
+	res    Results
+	recs   []trace.Record
+	epochs []byte
+	err    error
+}
+
+// runObserved runs cfg/spec and returns the results, the fill trace, and
+// the serialized epoch stream. It reports failure through parRun.err so
+// it can run off the test goroutine.
+func runObserved(cfg SystemConfig, spec workload.Spec) parRun {
+	var out parRun
+	cfg.TraceFn = func(r trace.Record) { out.recs = append(out.recs, r) }
+	sys, err := NewSystem(cfg, spec)
 	if err != nil {
-		t.Fatal(err)
+		out.err = err
+		return out
 	}
-	res := sys.Run(RunScale{WarmupReads: 150, MeasureReads: 900,
+	out.res = sys.Run(RunScale{WarmupReads: 150, MeasureReads: 900,
 		MaxCycles: 20_000_000, EpochInterval: 20_000})
-	if parallel {
-		if pb, ok := sys.mem.(parallelBackend); ok && pb.laneFallback() == "" && sys.Eng.WindowsRun() == 0 {
-			t.Fatal("parallel run executed zero windows — the differential is vacuous")
-		}
-	}
 	var buf bytes.Buffer
-	if res.Epochs != nil {
-		if err := res.Epochs.WriteJSONL(&buf, nil, nil); err != nil {
-			t.Fatal(err)
+	if out.res.Epochs != nil {
+		out.err = out.res.Epochs.WriteJSONL(&buf, nil, nil)
+	}
+	out.res.Epochs = nil // compared via the serialized stream
+	out.epochs = buf.Bytes()
+	return out
+}
+
+// concurrently runs f on n goroutines at once and returns their outputs
+// in goroutine order.
+func concurrently[T any](n int, f func() T) []T {
+	out := make([]T, n)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			out[i] = f()
+		}(i)
+	}
+	wg.Wait()
+	return out
+}
+
+// compareRuns reports every divergence of got from the alone reference.
+func compareRuns(t *testing.T, ref, got parRun) {
+	t.Helper()
+	if !reflect.DeepEqual(ref.res, got.res) {
+		t.Errorf("results diverged:\nalone      %+v\nconcurrent %+v", ref.res, got.res)
+	}
+	if len(ref.recs) != len(got.recs) {
+		t.Fatalf("trace length diverged: alone %d, concurrent %d records",
+			len(ref.recs), len(got.recs))
+	}
+	for i := range ref.recs {
+		if ref.recs[i] != got.recs[i] {
+			t.Fatalf("trace diverged at record %d:\nalone      %+v\nconcurrent %+v",
+				i, ref.recs[i], got.recs[i])
 		}
 	}
-	res.Epochs = nil // compared via the serialized stream
-	return res, recs, buf.Bytes()
+	if !bytes.Equal(ref.epochs, got.epochs) {
+		refLines := bytes.Split(ref.epochs, []byte("\n"))
+		gotLines := bytes.Split(got.epochs, []byte("\n"))
+		for i := 0; i < len(refLines) && i < len(gotLines); i++ {
+			if !bytes.Equal(refLines[i], gotLines[i]) {
+				a, b := refLines[i], gotLines[i]
+				j := 0
+				for j < len(a) && j < len(b) && a[j] == b[j] {
+					j++
+				}
+				lo := max(j-60, 0)
+				t.Logf("epoch %d first divergence at byte %d:\nalone      …%s\nconcurrent …%s",
+					i, j, a[lo:min(j+80, len(a))], b[lo:min(j+80, len(b))])
+				break
+			}
+		}
+		t.Errorf("epoch streams diverged (%d vs %d bytes)", len(ref.epochs), len(got.epochs))
+	}
 }
 
 func TestSystemParallelDifferential(t *testing.T) {
@@ -59,173 +119,74 @@ func TestSystemParallelDifferential(t *testing.T) {
 		name  string
 		cfg   SystemConfig
 		bench string
-		// eligible: the config must actually engage the lanes (a
-		// degraded run would make the comparison vacuous). Ineligible
-		// configs pin the silent serial fallback instead.
-		eligible bool
 	}{
-		{"baseline-ddr3-falls-back", Baseline(2), "libquantum", false},
-		{"rl-shared-crit-cmdbus", RL(2), "libquantum", true},
-		{"rl-private-crit-cmdbus", privBus, "libquantum", true},
-		{"rd-ddr3-lines", RD(2), "mcf", true},
-		{"dl-ddr3-crit-refresh", DL(2), "libquantum", true},
-		{"hmc-hetero", HMCHetero(2), "libquantum", true},
-		{"rl-crit-faults", faulty, "libquantum", true},
-		{"rl-dimm-dead", dimmDead, "libquantum", true},
-		// Topology-only organizations: the HMC mix is CWF-shaped and
-		// lane-eligible, and the DRAM-cache tiers now run on per-channel
-		// lanes too (the tag install write crosses tiers through main
-		// context only, so the byte-identity contract holds there as
-		// well). Only the conventional line organization falls back.
-		{"hmc-mix-topology", HMCMix(2), "libquantum", true},
-		{"dram-cache-lanes", DRAMCached(2), "mcf", true},
+		{"baseline-ddr3", Baseline(2), "libquantum"},
+		{"rl-shared-crit-cmdbus", RL(2), "libquantum"},
+		{"rl-private-crit-cmdbus", privBus, "libquantum"},
+		{"rd-ddr3-lines", RD(2), "mcf"},
+		{"dl-ddr3-crit-refresh", DL(2), "libquantum"},
+		{"hmc-hetero", HMCHetero(2), "libquantum"},
+		{"rl-crit-faults", faulty, "libquantum"},
+		{"rl-dimm-dead", dimmDead, "libquantum"},
+		// Topology-only organizations.
+		{"hmc-mix-topology", HMCMix(2), "libquantum"},
+		{"dram-cache-tiers", DRAMCached(2), "mcf"},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			sys, err := NewSystem(tc.cfg, mustSpec(t, tc.bench))
-			if err != nil {
-				t.Fatal(err)
+			spec := mustSpec(t, tc.bench)
+			ref := runObserved(tc.cfg, spec)
+			if ref.err != nil {
+				t.Fatal(ref.err)
 			}
-			if eligible := sys.ParallelFallback() == ""; eligible != tc.eligible {
-				t.Fatalf("eligibility mismatch: case declared eligible=%v, ParallelFallback=%q",
-					tc.eligible, sys.ParallelFallback())
+			if ref.res.DemandReads == 0 {
+				t.Fatal("reference run measured no reads — the differential is vacuous")
 			}
-			refRes, refRecs, refEpochs := runParMode(t, tc.cfg, tc.bench, false)
-			gotRes, gotRecs, gotEpochs := runParMode(t, tc.cfg, tc.bench, true)
-			if !reflect.DeepEqual(refRes, gotRes) {
-				t.Errorf("results diverged:\nserial   %+v\nparallel %+v", refRes, gotRes)
-			}
-			if len(refRecs) != len(gotRecs) {
-				t.Fatalf("trace length diverged: serial %d, parallel %d records",
-					len(refRecs), len(gotRecs))
-			}
-			for i := range refRecs {
-				if refRecs[i] != gotRecs[i] {
-					t.Fatalf("trace diverged at record %d:\nserial   %+v\nparallel %+v",
-						i, refRecs[i], gotRecs[i])
+			for i, got := range concurrently(parCopies, func() parRun { return runObserved(tc.cfg, spec) }) {
+				if got.err != nil {
+					t.Fatalf("copy %d: %v", i, got.err)
 				}
-			}
-			if !bytes.Equal(refEpochs, gotEpochs) {
-				refLines := bytes.Split(refEpochs, []byte("\n"))
-				gotLines := bytes.Split(gotEpochs, []byte("\n"))
-				for i := 0; i < len(refLines) && i < len(gotLines); i++ {
-					if !bytes.Equal(refLines[i], gotLines[i]) {
-						a, b := refLines[i], gotLines[i]
-						j := 0
-						for j < len(a) && j < len(b) && a[j] == b[j] {
-							j++
-						}
-						lo := j - 60
-						if lo < 0 {
-							lo = 0
-						}
-						t.Logf("epoch %d first divergence at byte %d:\nserial   …%s\nparallel …%s",
-							i, j, a[lo:min(j+80, len(a))], b[lo:min(j+80, len(b))])
-						break
-					}
-				}
-				t.Errorf("epoch streams diverged (%d vs %d bytes)", len(refEpochs), len(gotEpochs))
+				compareRuns(t, ref, got)
 			}
 		})
 	}
 }
 
-// TestParallelFallbackReasons pins the observable serial-fallback
-// reason of every ineligible configuration class — and that the
-// organizations the lane widening targets (DRAM-cache tiers, shared
-// crit command bus) report eligibility, not a fallback.
-func TestParallelFallbackReasons(t *testing.T) {
-	newSys := func(cfg SystemConfig, bench string) *System {
-		t.Helper()
-		sys, err := NewSystem(cfg, mustSpec(t, bench))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-
-	// Conventional line organizations have no lane-capable backend.
-	for _, cfg := range []SystemConfig{Baseline(2), HomogeneousLPDDR2(2), HomogeneousRLDRAM3(2)} {
-		if got := newSys(cfg, "libquantum").ParallelFallback(); got != FallbackSerialBackend {
-			t.Errorf("%s: fallback = %q, want %q", cfg.Name, got, FallbackSerialBackend)
-		}
-	}
-
-	// The widened classes are eligible: split CWF with the default
-	// shared crit command bus, the private-bus ablation, the HMC mix,
-	// and the DRAM-cache tier organization.
-	privBus := RL(2)
-	privBus.PrivateCritCmdBus = true
-	for _, cfg := range []SystemConfig{RL(2), privBus, HMCMix(2), DRAMCached(2)} {
-		if got := newSys(cfg, "libquantum").ParallelFallback(); got != "" {
-			t.Errorf("%s: fallback = %q, want lane-eligible", cfg.Name, got)
-		}
-	}
-
-	// Per-cycle ticking disqualifies either backend kind.
-	sys := newSys(RL(2), "libquantum")
-	sys.mem.(*cwfBackend).critCtrl[0].Cfg.PerCycle = true
-	if got := sys.ParallelFallback(); got != FallbackPerCycle {
-		t.Errorf("per-cycle CWF: fallback = %q, want %q", got, FallbackPerCycle)
-	}
-	sys = newSys(DRAMCached(2), "libquantum")
-	sys.mem.(*dramCacheBackend).farCtrl[0].Cfg.PerCycle = true
-	if got := sys.ParallelFallback(); got != FallbackPerCycle {
-		t.Errorf("per-cycle dram-cache: fallback = %q, want %q", got, FallbackPerCycle)
-	}
-
-	// A topology whose channels all hang off one command bus collapses
-	// to a single lane group — nothing to run in parallel. (No named
-	// config builds this; rewire the buses to exercise the partition.)
-	sys = newSys(RL(2), "libquantum")
-	cw := sys.mem.(*cwfBackend)
-	for _, ch := range cw.lineChan {
-		ch.Cmd = cw.sharedCmd
-	}
-	if got := sys.ParallelFallback(); got != FallbackSingleLane {
-		t.Errorf("single bus group: fallback = %q, want %q", got, FallbackSingleLane)
-	}
-}
-
-// TestParallelPerCycleFallsBack pins the eligibility rule that a
-// controller forced onto legacy per-cycle ticking disqualifies the
-// organization from lane execution.
-func TestParallelPerCycleFallsBack(t *testing.T) {
-	sys, err := NewSystem(RL(2), mustSpec(t, "libquantum"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw := sys.mem.(*cwfBackend)
-	if !cw.parallelizable() {
-		t.Fatal("RL should be lane-eligible")
-	}
-	cw.critCtrl[0].Cfg.PerCycle = true
-	if cw.parallelizable() {
-		t.Error("per-cycle controller did not disqualify lane execution")
-	}
-}
-
-// TestParallelRunTwice drives the same parallel system through two Runs:
-// the first Run's StopLanes must leave the engine in a state the second
-// Run can re-enable (lane events folded back, fresh lanes attached).
+// TestParallelRunTwice drives a System through two consecutive Runs —
+// the second resumes from the first's engine, caches and generators —
+// alone and as concurrent copies: both Runs of every copy must match the
+// alone system's.
 func TestParallelRunTwice(t *testing.T) {
 	scale := RunScale{WarmupReads: 100, MeasureReads: 300, MaxCycles: 20_000_000}
-	run2 := func(parallel bool) (Results, Results) {
-		cfg := RL(2)
-		cfg.Parallel = parallel
-		sys, err := NewSystem(cfg, mustSpec(t, "libquantum"))
+	spec := mustSpec(t, "libquantum")
+	type pair struct {
+		a, b Results
+		err  error
+	}
+	run2 := func() pair {
+		sys, err := NewSystem(RL(2), spec)
 		if err != nil {
-			t.Fatal(err)
+			return pair{err: err}
 		}
-		return sys.Run(scale), sys.Run(scale)
+		return pair{a: sys.Run(scale), b: sys.Run(scale)}
 	}
-	sa, sb := run2(false)
-	pa, pb := run2(true)
-	if !reflect.DeepEqual(sa, pa) {
-		t.Errorf("first run diverged:\nserial   %+v\nparallel %+v", sa, pa)
+	ref := run2()
+	if ref.err != nil {
+		t.Fatal(ref.err)
 	}
-	if !reflect.DeepEqual(sb, pb) {
-		t.Errorf("second run diverged:\nserial   %+v\nparallel %+v", sb, pb)
+	if reflect.DeepEqual(ref.a, ref.b) {
+		t.Fatal("second Run repeated the first — it did not resume the system")
+	}
+	for i, got := range concurrently(parCopies, run2) {
+		if got.err != nil {
+			t.Fatalf("copy %d: %v", i, got.err)
+		}
+		if !reflect.DeepEqual(ref.a, got.a) {
+			t.Errorf("copy %d first run diverged:\nalone      %+v\nconcurrent %+v", i, ref.a, got.a)
+		}
+		if !reflect.DeepEqual(ref.b, got.b) {
+			t.Errorf("copy %d second run diverged:\nalone      %+v\nconcurrent %+v", i, ref.b, got.b)
+		}
 	}
 }

@@ -39,11 +39,6 @@ type System struct {
 	// compares it across engine runs to skip the per-core scan on
 	// iterations where only memory-side events fired.
 	wakeSig uint64
-
-	// parallel is set for the span of a Run whose backend is executing
-	// on event lanes (SystemConfig.Parallel accepted); drive switches to
-	// the horizon-spanning loop.
-	parallel bool
 }
 
 // coreRegionBytes is the address-space slice per multiprogrammed copy.
@@ -84,10 +79,7 @@ func NewSystem(cfg SystemConfig, spec workload.Spec) (*System, error) {
 		gen := workload.NewGenerator(spec, i, cfg.NCores, base, cfg.Seed+1)
 		s.gens = append(s.gens, gen)
 		core := cpu.New(i, coreCfg, gen, s.Hier)
-		// The yield request makes a parallel drive hand control back at
-		// exactly the serial drive's core-step cycles; it is a no-op
-		// while yields are unarmed (serial mode, and outside drives).
-		core.WakeHook = func() { s.wakeSig++; eng.RequestYield() }
+		core.WakeHook = func() { s.wakeSig++ }
 		s.Cores = append(s.Cores, core)
 	}
 	s.registerMetrics()
@@ -103,7 +95,6 @@ func (s *System) registerMetrics() {
 	s.Reg = reg
 	eng := s.Eng
 	reg.Accum("sim.events", func() float64 { return float64(eng.EventsFired()) })
-	reg.Gauge("sim.lane_fallback", s.laneFallbackCode)
 	for i, c := range s.Cores {
 		c.RegisterMetrics(reg, fmt.Sprintf("cpu%d.", i))
 	}
@@ -412,56 +403,8 @@ func (r Results) Clone() Results {
 	return out
 }
 
-// ParallelFallback reports why a Run with Cfg.Parallel would fall back
-// to the single-threaded kernel — one of the Fallback* reasons — or ""
-// when the memory organization is lane-eligible. The answer is a
-// property of the built backend, independent of whether Parallel is
-// actually set, so tools can report eligibility without running.
-func (s *System) ParallelFallback() string {
-	pb, ok := s.mem.(parallelBackend)
-	if !ok {
-		return FallbackSerialBackend
-	}
-	return pb.laneFallback()
-}
-
-// laneFallbackCode encodes ParallelFallback for the telemetry registry:
-// 0 lane-eligible, 1 serial-only backend, 2 per-cycle ticking, 3 single
-// bus group. The code describes eligibility, not engagement, so it is
-// identical between a serial and a parallel run of the same config —
-// which the parallel differential's byte-identity check requires.
-func (s *System) laneFallbackCode() float64 {
-	switch s.ParallelFallback() {
-	case "":
-		return 0
-	case FallbackSerialBackend:
-		return 1
-	case FallbackPerCycle:
-		return 2
-	default:
-		return 3
-	}
-}
-
 // Run executes prewarm, warmup, then a measured window.
 func (s *System) Run(scale RunScale) Results {
-	if s.Cfg.Parallel {
-		if pb, ok := s.mem.(parallelBackend); ok && pb.laneFallback() == "" {
-			// Lanes live for the span of one Run: created here (so a
-			// System that is built but never run spawns no goroutines)
-			// and stopped on the way out, which folds any remaining lane
-			// events back into the main queue — a subsequent Run simply
-			// re-enables them.
-			pb.enableParallel()
-			s.parallel = true
-			s.Eng.EnableYield(true)
-			defer func() {
-				s.Eng.EnableYield(false)
-				s.Eng.StopLanes()
-				s.parallel = false
-			}()
-		}
-	}
 	s.prewarm(scale.PrewarmOps)
 	// withCancel folds Cfg.Cancel into a stop condition: a fired
 	// deadline or context ends the drive at the next stop-grid point.
@@ -617,10 +560,6 @@ func (s *System) collect(v telemetry.View) Results {
 // drive is the main simulation loop: it interleaves the event engine
 // with cycle-stepped cores until stop() or the cycle cap.
 func (s *System) drive(stop func() bool, maxCycles sim.Cycle) {
-	if s.parallel {
-		s.driveParallel(stop, maxCycles)
-		return
-	}
 	eng := s.Eng
 	now := eng.Now()
 	n := len(s.Cores)
@@ -722,130 +661,6 @@ func (s *System) drive(stop func() bool, maxCycles sim.Cycle) {
 		now = next
 	}
 	eng.RunUntil(maxCycles)
-}
-
-// driveParallel is drive for a lane-parallel engine. The serial loop
-// bounds every engine span by PeekNext, which would shrink parallel
-// windows to nothing; this variant spans all the way to the next
-// core-relevant cycle and relies on the yield protocol for exactness:
-// every wake delivery requests a yield, RunUntil finishes the current
-// cycle and returns early, and the loop re-scans cores there — the
-// same cycles the serial drive steps them ({wake deliveries} ∪ {core
-// self-scheduled wakes}). Stop verdicts and epoch samples stay
-// byte-identical because the stop counters and registry state change
-// only at core steps and event executions, both of which happen at
-// identical cycles in the two modes; the stop-poll frontier is rolled
-// back on every yield so each grid point's verdict is evaluated
-// against the state of the last core step at or before it, exactly as
-// the serial loop's PeekNext-bounded iterations do.
-func (s *System) driveParallel(stop func() bool, maxCycles sim.Cycle) {
-	eng := s.Eng
-	now := eng.Now()
-	n := len(s.Cores)
-	wakes := make([]sim.Cycle, n)
-	for i := range wakes {
-		wakes[i] = now
-	}
-	const stopPollEvery = 64
-	nextStop := (now/stopPollEvery + 1) * stopPollEvery
-	minWake := now
-	lastSig := s.wakeSig
-	for now < maxCycles {
-		eng.RunUntil(now)
-		if s.wakeSig != lastSig || minWake <= now {
-			for i, c := range s.Cores {
-				if c.WakePending() {
-					wakes[i] = now
-				}
-				if wakes[i] <= now {
-					wakes[i] = c.Step(now)
-				}
-			}
-			lastSig = s.wakeSig
-			eng.RunUntil(now)
-			minWake = sim.Cycle(1<<62 - 1)
-			for _, w := range wakes {
-				if w < minWake {
-					minWake = w
-				}
-			}
-		}
-		next := minWake
-		if s.wakeSig != lastSig && now+1 < next {
-			next = now + 1
-		}
-		deadRisk := false
-		if next >= 1<<62-1 {
-			// No core will ever wake on its own. The serial loop panics
-			// here because its PeekNext bound already folded the event
-			// queue in; with lanes, pending events may still deliver the
-			// missing wake — span on, and panic only if they cannot.
-			if !eng.Pending() {
-				panic(s.deadlockReport(now))
-			}
-			deadRisk = true
-			next = maxCycles
-		}
-		if next <= now {
-			next = now + 1
-		}
-		if next > maxCycles {
-			next = maxCycles
-		}
-		prevStop := nextStop
-		stopAt := next
-		if nextStop < next {
-			if stop() {
-				stopAt = nextStop
-			} else {
-				nextStop = ((next-1)/stopPollEvery + 1) * stopPollEvery
-			}
-		}
-		yielded := false
-		if s.sampler != nil {
-			for s.nextSample < stopAt {
-				eng.RunUntil(s.nextSample)
-				if eng.Now() < s.nextSample || s.wakeSig != lastSig {
-					yielded = true
-					break
-				}
-				s.sampler.Tick(s.nextSample)
-				s.nextSample += s.sampler.Interval()
-			}
-		}
-		if !yielded {
-			eng.RunUntil(stopAt)
-			yielded = eng.Now() < stopAt || s.wakeSig != lastSig
-		}
-		if yielded {
-			// A wake landed mid-span: cores must step here before any
-			// later grid point or epoch boundary is judged. Roll the
-			// stop frontier back to the first grid point this core step
-			// can influence — but never below where it stood before this
-			// iteration's (now stale) clearing.
-			now = eng.Now()
-			if g := ((now-1)/stopPollEvery + 1) * stopPollEvery; g < nextStop {
-				nextStop = g
-			}
-			if nextStop < prevStop {
-				nextStop = prevStop
-			}
-			continue
-		}
-		if deadRisk && !eng.Pending() {
-			panic(s.deadlockReport(eng.Now()))
-		}
-		if stopAt < next {
-			return
-		}
-		now = next
-	}
-	// The run hit the cycle cap. Cores are never stepped again (the
-	// serial loop has exited too), so remaining wake yields are moot;
-	// re-enter until the cap is actually reached.
-	for eng.Now() < maxCycles {
-		eng.RunUntil(maxCycles)
-	}
 }
 
 // deadlockReport diagnoses a no-progress state: every core blocked on a

@@ -49,20 +49,13 @@ func runTickMode(t *testing.T, cfg SystemConfig, bench string, perCycle bool) (R
 	res.Epochs = nil // compared via the serialized stream
 	// sim.events counts dispatched engine events — a diagnostic of the
 	// engine's own workload, not of simulated behaviour. Skipping ticks
-	// exists precisely to shrink it. sim.lane_fallback reports lane
-	// eligibility, which the per-cycle reference mode deliberately
-	// forfeits. Both describe the execution engine rather than the
-	// simulated machine, so they are the two columns excluded from the
-	// byte comparison.
-	stream := simEventsCol.ReplaceAll(buf.Bytes(), nil)
-	stream = laneFallbackCol.ReplaceAll(stream, nil)
-	return res, recs, stream
+	// exists precisely to shrink it. It describes the execution engine
+	// rather than the simulated machine, so it is the one column excluded
+	// from the byte comparison.
+	return res, recs, simEventsCol.ReplaceAll(buf.Bytes(), nil)
 }
 
-var (
-	simEventsCol    = regexp.MustCompile(`"sim\.events":[0-9]+,`)
-	laneFallbackCol = regexp.MustCompile(`"sim\.lane_fallback":[0-9]+,`)
-)
+var simEventsCol = regexp.MustCompile(`"sim\.events":[0-9]+,`)
 
 func TestSystemTickSkipDifferential(t *testing.T) {
 	faulty := RL(2)

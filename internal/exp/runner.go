@@ -63,11 +63,6 @@ type Options struct {
 	// RunPair, stand-alone references included). A run that exceeds it
 	// is truncated and fails with ErrRunCanceled; 0 = no deadline.
 	CellTimeout time.Duration
-	// Parallel turns on lane-parallel execution for every run (the
-	// -parallel flag). Output is byte-identical, so it is excluded from
-	// both the memo key and the store key — cached serial results serve
-	// parallel sweeps and vice versa.
-	Parallel bool
 }
 
 // withDefaults normalizes options.
@@ -132,9 +127,6 @@ func (r *Runner) Workers() int { return r.pool.Workers() }
 func (r *Runner) Start(cfg core.SystemConfig, bench string) *runpool.Task[core.Results] {
 	cfg.NCores = r.Opts.NCores
 	cfg.Seed = r.Opts.Seed
-	if r.Opts.Parallel {
-		cfg.Parallel = true
-	}
 	if !cfg.Faults.Active() && r.Opts.Faults.Active() {
 		cfg.Faults = r.Opts.Faults
 	}

@@ -1,17 +1,18 @@
 // Package lease coordinates N worker processes sharing one directory
 // — no coordinator, no network protocol, just the filesystem the
 // durable run store already lives on. A lease is one JSON file under
-// <dir>/leases/ claimed with an O_EXCL create (atomic on every
-// filesystem the store supports), kept alive by heartbeat renewals,
-// and reclaimable by any worker once its heartbeat has gone stale for
-// a full TTL. Fencing tokens increase monotonically across every
+// <dir>/leases/ claimed by hard-linking a fully written record into
+// place (the link fails if the name exists, so the claim is atomic and
+// no reader ever sees a half-written lease), kept alive by heartbeat
+// renewals, and reclaimable by any worker once its heartbeat has gone
+// stale for a full TTL. Fencing tokens increase monotonically across every
 // claim of a key, so a worker that lost its lease to a reclaim can
 // discover the loss on its next renewal instead of silently fighting
 // the new owner.
 //
-// The protocol is advisory, not a mutex: the window between reading a
-// stale lease and stealing it can, in pathological scheduling, let two
-// workers briefly hold the same cell. That is safe here by
+// The protocol is advisory, not a mutex: a holder that stalls past its
+// TTL keeps working on a cell a reclaimer now also holds, and a
+// reclaim can race a stale holder's own renewal or release. That is safe here by
 // construction — the protected work is idempotent (equal keys produce
 // byte-identical store entries, and store writes are atomic
 // temp+rename), so duplicated work costs time, never correctness. The
@@ -129,11 +130,7 @@ func (l *Lease) Key() string { return l.key }
 //   - live lease, another owner → ErrHeld
 //   - live lease, our owner → ErrHeld too: re-entrant claims are a
 //     bug in the caller (one cell, one claim), not a feature
-//   - expired or unreadable lease → reclaim it with token+1
-//
-// The reclaim path is remove-then-create: between our remove and our
-// create another worker can slip in its own create, in which case we
-// lose the race and report ErrHeld — exactly one reclaimer wins.
+//   - expired or unreadable lease → reclaim it with token+1 (reclaim)
 func (m *Manager) TryAcquire(key string) (*Lease, error) {
 	path, err := m.path(key)
 	if err != nil {
@@ -149,49 +146,98 @@ func (m *Manager) TryAcquire(key string) (*Lease, error) {
 		if readErr == nil && !m.expired(prev) {
 			return nil, fmt.Errorf("%w (%s, token %d)", ErrHeld, prev.Owner, prev.Token)
 		}
-		if readErr != nil && !os.IsNotExist(readErr) {
-			// Unreadable (torn write from a killed writer): treat like an
-			// expired lease and reclaim it.
-			prev = record{}
-		} else if os.IsNotExist(readErr) {
+		if os.IsNotExist(readErr) {
 			// Raced a release; loop and claim fresh.
 			continue
 		}
-		// Expired: remove the stale file, then race to install ours with
-		// a bumped fencing token. Losing either step means another
-		// reclaimer won; report held and let the caller back off.
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("lease: %w", err)
-		}
-		if l, err := m.create(key, path, prev.Token+1); err == nil {
-			return l, nil
-		} else if os.IsExist(err) {
-			return nil, fmt.Errorf("%w (lost reclaim race)", ErrHeld)
-		} else {
-			return nil, fmt.Errorf("lease: %w", err)
-		}
+		return m.reclaim(key, path, prev, readErr != nil)
 	}
 }
 
-// create installs a fresh lease file with O_EXCL, the atomic claim.
+// reclaim replaces the expired record prev (or, when corrupt, an
+// unreadable file; prev is then zero) with our claim at prev.Token+1.
+// Reclaimers of one stale record serialize on an O_EXCL marker named
+// for the new token: the marker's holder re-reads the lease, and only
+// if it still finds what it judged stale renames its own record over
+// it. Every other reclaimer reports ErrHeld and backs off. The marker
+// is removed on the way out; one left by a reclaimer that died holding
+// it is cleared once it is a TTL old, so the key cannot wedge.
+func (m *Manager) reclaim(key, path string, prev record, corrupt bool) (*Lease, error) {
+	token := prev.Token + 1
+	marker := fmt.Sprintf("%s.%d.reclaim", path, token)
+	f, err := os.OpenFile(marker, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if err != nil {
+		if !os.IsExist(err) {
+			return nil, fmt.Errorf("lease: %w", err)
+		}
+		if fi, serr := os.Stat(marker); serr == nil && time.Since(fi.ModTime()) > m.ttl {
+			os.Remove(marker)
+		}
+		return nil, fmt.Errorf("%w (lost reclaim race)", ErrHeld)
+	}
+	f.Close()
+	defer os.Remove(marker)
+
+	cur, readErr := readRecord(path)
+	switch {
+	case os.IsNotExist(readErr):
+		// Released meanwhile: an ordinary claim.
+		l, err := m.create(key, path, token)
+		if os.IsExist(err) {
+			return nil, fmt.Errorf("%w (lost reclaim race)", ErrHeld)
+		} else if err != nil {
+			return nil, fmt.Errorf("lease: %w", err)
+		}
+		return l, nil
+	case (readErr != nil) != corrupt || (!corrupt && cur != prev):
+		return nil, fmt.Errorf("%w (lost reclaim race)", ErrHeld)
+	}
+	tmp, err := m.writeRecord(token)
+	if err != nil {
+		return nil, fmt.Errorf("lease: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return nil, fmt.Errorf("lease: %w", err)
+	}
+	return &Lease{m: m, key: key, path: path, Token: token}, nil
+}
+
+// create installs a fresh lease: the record is written to a temp file
+// and hard-linked into place, which fails if the lease exists (the
+// atomic claim) and never exposes a partly written record.
 func (m *Manager) create(key, path string, token uint64) (*Lease, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	tmp, err := m.writeRecord(token)
 	if err != nil {
 		return nil, err
 	}
-	rec := record{Owner: m.owner, Token: token,
-		HeartbeatUnixNano: m.now().UnixNano(), TTLNano: int64(m.ttl)}
-	b, _ := json.Marshal(rec)
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
+	defer os.Remove(tmp)
+	if err := os.Link(tmp, path); err != nil {
 		return nil, err
 	}
 	return &Lease{m: m, key: key, path: path, Token: token}, nil
+}
+
+// writeRecord writes our record at token, heartbeat now, to a fresh
+// temp file in the lease directory and returns its name.
+func (m *Manager) writeRecord(token uint64) (string, error) {
+	rec := record{Owner: m.owner, Token: token,
+		HeartbeatUnixNano: m.now().UnixNano(), TTLNano: int64(m.ttl)}
+	b, _ := json.Marshal(rec)
+	tmp, err := os.CreateTemp(m.dir, ".claim-*")
+	if err != nil {
+		return "", err
+	}
+	if _, err := tmp.Write(append(b, '\n')); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return "", err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return "", err
+	}
+	return tmp.Name(), nil
 }
 
 // expired reports whether the record's heartbeat is older than the
@@ -242,24 +288,12 @@ func (l *Lease) Renew() error {
 	if err := l.stillOurs(); err != nil {
 		return err
 	}
-	rec := record{Owner: l.m.owner, Token: l.Token,
-		HeartbeatUnixNano: l.m.now().UnixNano(), TTLNano: int64(l.m.ttl)}
-	b, _ := json.Marshal(rec)
-	tmp, err := os.CreateTemp(l.m.dir, ".renew-*")
+	tmp, err := l.m.writeRecord(l.Token)
 	if err != nil {
 		return fmt.Errorf("lease: %w", err)
 	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("lease: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("lease: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), l.path); err != nil {
-		os.Remove(tmp.Name())
+	if err := os.Rename(tmp, l.path); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("lease: %w", err)
 	}
 	return nil

@@ -91,31 +91,13 @@ type Engine struct {
 	dispatches int // >0 while inside an event handler
 
 	// Timing wheel fronting the heap for near-future events (wheel.go).
-	// Inactive (and empty) while lanes exist.
 	wslots [wheelSpan]wheelSlot
 	wocc   [wheelSpan / 64]uint64
 	wbase  Cycle     // wheel window start; all wheel events in [wbase, wbase+wheelSpan)
 	wcount int       // events currently in the wheel
 	wminIx int       // cached bucket of the wheel minimum; -1 = rescan needed
 	wfree  [][]event // retained bucket arrays, shared across slots (zero steady-state alloc)
-
-	// Parallel lane execution (see lane.go). With no lanes the engine is
-	// the single-threaded kernel it always was; NewLane switches RunUntil
-	// onto the windowed parallel loop.
-	lanes      []*Lane
-	main       *Lane     // lazily built main-queue proxy handed to entities
-	mergeBuf   []pending // reused scratch for the window merge
-	parts      []*Lane   // reused scratch: the lanes joining a window
-	windows    uint64    // parallel windows run (diagnostics)
-	yieldArmed bool      // RequestYield is honored only while armed
-	yieldReq   bool      // a wake arrived; drain the cycle and return
 }
-
-// WindowsRun reports how many parallel windows have executed — a
-// diagnostic for tests and benchmarks to confirm lane execution actually
-// engaged (a lane-parallel run whose horizons never admit two ready
-// lanes degenerates to serial stepping).
-func (e *Engine) WindowsRun() uint64 { return e.windows }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() Cycle { return e.now }
@@ -130,7 +112,7 @@ func (e *Engine) EventsFired() uint64 { return e.fired }
 const heapArity = 4
 
 // heapPush inserts ev into a (when, phase, seq)-ordered 4-ary heap,
-// sifting up. Shared by the engine's main queue and per-domain lanes.
+// sifting up.
 func heapPush(pq *[]event, ev event) {
 	q := append(*pq, ev)
 	i := len(q) - 1
@@ -184,20 +166,6 @@ func heapPop(pq *[]event) event {
 	*pq = q
 	return top
 }
-
-// heapInit builds the heap property over an arbitrarily ordered slice
-// (Floyd's method) — used after a lane filters its queue in place.
-func heapInit(q []event) {
-	for i := (len(q) - 2) / heapArity; i >= 0; i-- {
-		heapSiftDown(q, i)
-	}
-}
-
-// push inserts ev into the main queue.
-func (e *Engine) push(ev event) { heapPush(&e.pq, ev) }
-
-// pop removes and returns the minimum main-queue event.
-func (e *Engine) pop() event { return heapPop(&e.pq) }
 
 // Schedule runs fn after delay cycles. A delay of zero runs fn during the
 // current cycle, after all previously scheduled work for this cycle.
@@ -273,40 +241,16 @@ func (e *Engine) SchedulePhasedAt(when Cycle, phase uint64, h PhasedHandler, arg
 // on this instead of threading context flags through every caller.
 func (e *Engine) InDispatch() bool { return e.dispatches > 0 }
 
-// Pending reports whether any events remain (across all lanes).
-func (e *Engine) Pending() bool {
-	if e.wcount > 0 || len(e.pq) > 0 {
-		return true
-	}
-	for _, l := range e.lanes {
-		if len(l.pq) > 0 {
-			return true
-		}
-	}
-	return false
-}
+// Len reports the number of queued events (diagnostics).
+func (e *Engine) Len() int { return e.wcount + len(e.pq) }
 
-// Len reports the number of queued events across all lanes (diagnostics).
-func (e *Engine) Len() int {
-	n := e.wcount + len(e.pq)
-	for _, l := range e.lanes {
-		n += len(l.pq)
-	}
-	return n
-}
-
-// PeekNext returns the time of the next event across all lanes; ok is
-// false if none remain.
+// PeekNext returns the time of the next event; ok is false if none
+// remain.
 func (e *Engine) PeekNext() (when Cycle, ok bool) {
 	if top := e.qPeek(); top != nil {
-		when, ok = top.when, true
+		return top.when, true
 	}
-	for _, l := range e.lanes {
-		if len(l.pq) > 0 && (!ok || l.pq[0].when < when) {
-			when, ok = l.pq[0].when, true
-		}
-	}
-	return when, ok
+	return 0, false
 }
 
 // sameCycleEventLimit is the no-progress watchdog threshold: this many
@@ -321,9 +265,6 @@ const sameCycleEventLimit = 1 << 20
 // event lies strictly beyond end. The clock finishes at min(end, last
 // event time ≥ now). It returns the number of events executed.
 func (e *Engine) RunUntil(end Cycle) uint64 {
-	if len(e.lanes) > 0 {
-		return e.runParallel(end)
-	}
 	var n uint64
 	var burst int
 	for {

@@ -41,10 +41,10 @@ func TestHeapMatchesReferenceModel(t *testing.T) {
 			if len(e.pq) == 0 || rng.Intn(3) != 0 {
 				seq++
 				ev := event{when: Cycle(rng.Intn(16)), seq: seq, h: funcRunner}
-				e.push(ev)
+				heapPush(&e.pq, ev)
 				m.push(ev)
 			} else {
-				got, want := e.pop(), m.pop()
+				got, want := heapPop(&e.pq), m.pop()
 				if got.when != want.when || got.seq != want.seq {
 					t.Fatalf("trial %d step %d: pop = (%d,%d), model = (%d,%d)",
 						trial, step, got.when, got.seq, want.when, want.seq)
@@ -53,7 +53,7 @@ func TestHeapMatchesReferenceModel(t *testing.T) {
 		}
 		// Drain.
 		for len(m.events) > 0 {
-			got, want := e.pop(), m.pop()
+			got, want := heapPop(&e.pq), m.pop()
 			if got.when != want.when || got.seq != want.seq {
 				t.Fatalf("trial %d drain: pop = (%d,%d), model = (%d,%d)",
 					trial, got.when, got.seq, want.when, want.seq)

@@ -19,9 +19,6 @@ import "math/bits"
 //     mapping to one bucket would have to lie wheelSpan apart, which the
 //     window forbids), kept ordered by (phase, seq) with an insertion
 //     shift — globally increasing seq makes that an append in practice.
-//   - The wheel is active only while the engine has no lanes: the
-//     parallel path manipulates the main heap directly, so NewLane
-//     flushes the wheel into the heap and qPush bypasses it.
 //
 // Pop order across wheel+heap is exactly the heap-only (when, phase,
 // seq) order: both structures yield their own exact minimum and qPop
@@ -47,14 +44,12 @@ type wheelSlot struct {
 }
 
 // qPush routes a new event to the wheel when it lands inside the near
-// horizon (and no lanes are active), else to the heap.
+// horizon, else to the heap.
 func (e *Engine) qPush(ev event) {
-	if len(e.lanes) == 0 {
-		e.wbase = e.now // monotone: now never precedes a pending event
-		if ev.when-e.wbase < wheelSpan {
-			e.wheelInsert(ev)
-			return
-		}
+	e.wbase = e.now // monotone: now never precedes a pending event
+	if ev.when-e.wbase < wheelSpan {
+		e.wheelInsert(ev)
+		return
 	}
 	heapPush(&e.pq, ev)
 }
@@ -174,13 +169,4 @@ func (e *Engine) qPop() event {
 		return heapPop(&e.pq)
 	}
 	return e.wheelPop()
-}
-
-// flushWheel drains every wheel event into the main heap. Called when
-// lanes are created: the parallel path owns the main heap directly.
-func (e *Engine) flushWheel() {
-	for e.wcount > 0 {
-		e.wheelPeek() // validates the cached minimum slot
-		heapPush(&e.pq, e.wheelPop())
-	}
 }
