@@ -29,13 +29,16 @@ race:
 hetbench:
 	cd cmd/hetbench && $(GO) test ./...
 
-# Short fuzz passes over the text parsers and the durable-store key /
-# entry codecs (seed corpora always run as part of plain `make test`).
+# Short fuzz passes over the text parsers, the durable-store key /
+# entry codecs, and the store's payload decoder fed arbitrary bytes
+# behind a matching checksum (seed corpora always run as part of plain
+# `make test`).
 fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/faults/ -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/store/ -fuzz FuzzStoreKey -fuzztime 30s
 	$(GO) test ./internal/store/ -fuzz FuzzEntryCodec -fuzztime 30s
+	$(GO) test ./internal/store/ -fuzz FuzzPayloadDecode -fuzztime 30s
 	$(GO) test ./internal/topology/ -fuzz FuzzTopologyParse -fuzztime 30s
 
 # The declarative-topology study: the 3-tier DRAM-cache system and the

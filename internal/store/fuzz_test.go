@@ -85,24 +85,25 @@ func FuzzEntryCodec(f *testing.F) {
 				Data:   []float64{ipc},
 			},
 		}
-		b, err := Encode(k, res)
+		h := k.Hash()
+		b, err := encodeEntry(k, h, res)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		got, err := Decode(b, k)
+		got, err := decodeEntry(b, h)
 		if err != nil {
 			t.Fatalf("decode of a fresh encode failed: %v", err)
 		}
 		// Equality is judged on the deterministic re-encoding: exact to
 		// the bit, and NaN-tolerant where DeepEqual is not.
-		reEnc, err := Encode(k, got)
+		reEnc, err := encodeEntry(k, h, got)
 		if err != nil || !bytes.Equal(reEnc, b) {
 			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, res)
 		}
 
 		// Deterministic encode: a second encode is byte-identical (the
 		// content address depends on it).
-		b2, err := Encode(k, res)
+		b2, err := encodeEntry(k, h, res)
 		if err != nil || !bytes.Equal(b, b2) {
 			t.Fatal("encode is not deterministic")
 		}
@@ -111,8 +112,8 @@ func FuzzEntryCodec(f *testing.F) {
 		if flip != 0 && len(b) > 0 {
 			c := append([]byte(nil), b...)
 			c[int(pos)%len(c)] ^= flip
-			if mut, err := Decode(c, k); err == nil {
-				if me, err := Encode(k, mut); err != nil || !bytes.Equal(me, b) {
+			if mut, err := decodeEntry(c, h); err == nil {
+				if me, err := encodeEntry(k, h, mut); err != nil || !bytes.Equal(me, b) {
 					t.Fatal("corrupted entry decoded to different results")
 				}
 			}
@@ -120,14 +121,14 @@ func FuzzEntryCodec(f *testing.F) {
 
 		// Truncation at the fuzz position must never succeed with
 		// different data either.
-		if tr, err := Decode(b[:int(pos)%(len(b)+1)], k); err == nil {
-			if te, err := Encode(k, tr); err != nil || !bytes.Equal(te, b) {
+		if tr, err := decodeEntry(b[:int(pos)%(len(b)+1)], h); err == nil {
+			if te, err := encodeEntry(k, h, tr); err != nil || !bytes.Equal(te, b) {
 				t.Fatal("truncated entry decoded to different results")
 			}
 		}
 
 		// Arbitrary garbage (the raw fuzz string) must error, not panic.
-		if _, err := Decode([]byte(bench), k); err == nil && len(bench) > 0 {
+		if _, err := decodeEntry([]byte(bench), h); err == nil && len(bench) > 0 {
 			// A fuzz string that is a valid entry for this key would be
 			// a checksum collision; treat as failure.
 			t.Fatal("garbage decoded successfully")

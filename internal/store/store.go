@@ -134,21 +134,23 @@ func (s *Store) objectPath(hash string) string {
 // Put can heal it. The returned Results are freshly decoded and owned
 // by the caller; mutating them cannot affect later Gets.
 func (s *Store) Get(k RunKey) (core.Results, bool) {
-	b, err := os.ReadFile(s.objectPath(k.Hash()))
+	hash := k.Hash()
+	path := s.objectPath(hash)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		s.count(func(st *Stats) { st.Misses++ })
 		return core.Results{}, false
 	}
-	res, err := Decode(b, k)
+	res, err := decodeEntry(b, hash)
 	if err != nil {
 		// Quarantine by deletion: a bad entry must never shadow the
 		// path its healthy replacement will be renamed onto.
-		os.Remove(s.objectPath(k.Hash()))
+		os.Remove(path)
 		s.count(func(st *Stats) { st.Misses++; st.Corrupt++ })
 		return core.Results{}, false
 	}
 	s.count(func(st *Stats) { st.Hits++ })
-	touch(s.objectPath(k.Hash()))
+	touch(path)
 	return res, true
 }
 
@@ -183,11 +185,12 @@ func (s *Store) Put(k RunKey, res core.Results) error {
 	if s.degraded.Load() {
 		return ErrDegraded
 	}
-	b, err := Encode(k, res)
+	hash := k.Hash()
+	b, err := encodeEntry(k, hash, res)
 	if err != nil {
 		return err
 	}
-	path := s.objectPath(k.Hash())
+	path := s.objectPath(hash)
 	if err := s.install(path, b); err != nil {
 		if degradeClass(err) {
 			s.degraded.Store(true)
@@ -196,7 +199,7 @@ func (s *Store) Put(k RunKey, res core.Results) error {
 		return err
 	}
 	s.count(func(st *Stats) { st.Writes++ })
-	s.appendIndex(k, res)
+	s.appendIndex(k, hash)
 	s.mu.Lock()
 	s.liveBytes += int64(len(b))
 	if s.maxBytes > 0 && s.liveBytes > s.maxBytes {
@@ -377,8 +380,8 @@ type IndexEntry struct {
 // (two processes caching the same key) are tolerated and deduplicated
 // at read time. Index failures are deliberately swallowed — the cache
 // works without it.
-func (s *Store) appendIndex(k RunKey, res core.Results) {
-	e := IndexEntry{Key: k.Hash(), Config: k.Cfg.Name, Bench: k.Bench,
+func (s *Store) appendIndex(k RunKey, hash string) {
+	e := IndexEntry{Key: hash, Config: k.Cfg.Name, Bench: k.Bench,
 		Pair: k.Pair, Reads: k.Scale.MeasureReads}
 	b, err := json.Marshal(e)
 	if err != nil {

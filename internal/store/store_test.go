@@ -2,6 +2,11 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -50,8 +55,8 @@ func testResults(bench string) core.Results {
 // judged on the deterministic entry encoding instead.
 func resultsEqual(a, b core.Results) bool {
 	k := testKey("eq", 0)
-	ea, err1 := Encode(k, a)
-	eb, err2 := Encode(k, b)
+	ea, err1 := encodeEntry(k, k.Hash(), a)
+	eb, err2 := encodeEntry(k, k.Hash(), b)
 	return err1 == nil && err2 == nil && bytes.Equal(ea, eb)
 }
 
@@ -205,8 +210,53 @@ func TestStaleSchemaIsMiss(t *testing.T) {
 		// Patch the header's schema field to a bygone version. The
 		// payload checksum still verifies — staleness alone must
 		// invalidate.
-		return bytes.Replace(b, []byte(`{"schema":1,`), []byte(`{"schema":0,`), 1)
+		cur := fmt.Sprintf(`{"schema":%d,`, Schema)
+		if !bytes.Contains(b, []byte(cur)) {
+			t.Fatalf("entry header lacks %s", cur)
+		}
+		return bytes.Replace(b, []byte(cur), []byte(fmt.Sprintf(`{"schema":%d,`, Schema-1)), 1)
 	})
+
+	// Upgrade path: an entry exactly as a schema-1 store wrote it (the
+	// same magic and header around a gob payload) is stale, counts as
+	// corrupt and as a miss, is removed, and the next Put heals it.
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, want := testKey("mcf", 1), testResults("mcf")
+	var gobbed bytes.Buffer
+	if err := gob.NewEncoder(&gobbed).Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(gobbed.Bytes())
+	old := entryWithHeader(t, header{Schema: 1, Key: k.Hash(), Len: gobbed.Len(),
+		Sum: hex.EncodeToString(sum[:]), Config: k.Cfg.Name, Bench: k.Bench}, gobbed.Bytes())
+	if _, err := decodeEntry(old, k.Hash()); !errors.Is(err, errSchema) {
+		t.Fatalf("schema-1 entry: err = %v, want %v", err, errSchema)
+	}
+	path := s.objectPath(k.Hash())
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(k); ok {
+		t.Fatal("schema-1 entry answered a Get")
+	}
+	if st := s.Stats(); st.Misses != 1 || st.Corrupt != 1 || st.Hits != 0 {
+		t.Fatalf("stats after schema-1 Get = %+v, want 1 miss, 1 corrupt", st)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("schema-1 entry not removed")
+	}
+	if err := s.Put(k, want); err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := s.Get(k); !ok || !resultsEqual(res, want) {
+		t.Fatal("Put did not heal the schema-1 entry")
+	}
 }
 
 func TestWrongKeyedFileIsMiss(t *testing.T) {

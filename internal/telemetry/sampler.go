@@ -9,11 +9,9 @@ import "hetsim/internal/sim"
 // snapshots and the row — is preallocated at Reset, so steady-state
 // ticking allocates only what the sinks' amortized buffers grow by.
 //
-// A Sampler can be driven two ways: the core System calls Tick from
-// its own drive loop at exact epoch boundaries (keeping the engine
-// queue free of recurring events, which would mask the deadlock
-// watchdog), or Attach hooks it to an engine through a sim.Ticker for
-// callers that only have an event loop.
+// The core System calls Tick from its own drive loop at exact epoch
+// boundaries, which keeps the engine queue free of recurring events
+// that would mask the deadlock watchdog.
 type Sampler struct {
 	reg      *Registry
 	interval sim.Cycle
@@ -21,7 +19,6 @@ type Sampler struct {
 	prev     Snapshot
 	cur      Snapshot
 	row      []float64
-	ticker   *sim.Ticker
 }
 
 // NewSampler creates a sampler over reg with the given epoch interval.
@@ -94,26 +91,4 @@ func (s *Sampler) Flush() error {
 		}
 	}
 	return first
-}
-
-// Attach arms the sampler on an engine: Reset now, then Tick through a
-// sim.Ticker every interval cycles. Detach stops it. Callers whose
-// outer loop already steps the engine (like core.System.drive) should
-// call Tick directly instead, so the engine queue stays empty when the
-// simulation is idle.
-func (s *Sampler) Attach(eng *sim.Engine) {
-	if s.ticker != nil {
-		return
-	}
-	s.Reset(eng.Now())
-	s.ticker = sim.NewTicker(eng, s.interval, s.Tick)
-	s.ticker.Start()
-}
-
-// Detach disarms an Attach'd sampler.
-func (s *Sampler) Detach() {
-	if s.ticker != nil {
-		s.ticker.Stop()
-		s.ticker = nil
-	}
 }

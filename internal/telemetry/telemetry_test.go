@@ -205,31 +205,6 @@ func TestSeriesSameCols(t *testing.T) {
 	}
 }
 
-func TestSamplerAttach(t *testing.T) {
-	eng := &sim.Engine{}
-	reg := NewRegistry()
-	var c uint64
-	reg.Counter("n", &c)
-	sink := NewMemorySink()
-	s := NewSampler(reg, 10, sink)
-	s.Attach(eng)
-	eng.ScheduleAt(5, func() { c = 2 })
-	eng.ScheduleAt(15, func() { c = 5 })
-	eng.ScheduleAt(30, func() {})
-	eng.RunUntil(30)
-	s.Detach()
-	ser := sink.Series()
-	if ser.NumRows() != 3 {
-		t.Fatalf("rows = %d", ser.NumRows())
-	}
-	// Epoch deltas: 2 by cycle 10, then 3 more by 20, then 0.
-	for i, want := range []float64{2, 3, 0} {
-		if got := ser.Row(i)[0]; got != want {
-			t.Fatalf("epoch %d delta = %v, want %v", i, got, want)
-		}
-	}
-}
-
 // TestSamplerZeroAlloc pins the steady-state allocation of a tick with
 // every probe kind registered and a discard-style sink attached: the
 // read path, mode arithmetic, and row handoff must all be free.
