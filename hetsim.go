@@ -108,13 +108,10 @@ func PagePlaced(nCores int, hotPages map[uint64]bool) Config {
 // DRAM cache of full lines fronting slow LPDDR2 far memory.
 func DRAMCached(nCores int) Config { return core.DRAMCached(nCores) }
 
-// HMCMix is the §10 future-work sketch spelled as a topology: HMC-fast
-// critical-word channels over HMC-lp line channels.
-func HMCMix(nCores int) Config { return core.HMCMix(nCores) }
-
 // Topology is a declarative memory organization: a validated list of
-// channel groups (device kind × count × role × bus wiring). Set
-// Config.Topology to override the legacy organization booleans.
+// channel groups (device kind × count × role × bus wiring). Every
+// Config carries one in Config.Topology; the named configs above are
+// presets of it, and assigning another spec changes the machine built.
 type Topology = topology.Spec
 
 // ParseTopology resolves a topology string — a named organization

@@ -52,6 +52,10 @@ type backend interface {
 	// channels only. A no-op for organizations without one.
 	DegradeCrit()
 	Groups() []ChannelGroup
+	// lineChannel is the index, among the lineChannels of the
+	// organization's topology, of the channel holding a line's full
+	// copy: the fault layer charges line faults to it.
+	lineChannel(lineAddr uint64) int
 }
 
 // prefetchHeadroom is the queue-occupancy ceiling for accepting new
@@ -123,21 +127,27 @@ func (b *lineBackend) addCtrl(ch *dram.Channel, ctrl *memctrl.Controller) {
 	b.ctrls = append(b.ctrls, ctrl)
 }
 
-// newHomogeneous builds nCh channels of cfg with controller defaults
-// for its kind (and the given sleep variant).
-func newHomogeneous(eng *sim.Engine, cfg dram.Config, nCh int, deepSleep bool) *lineBackend {
-	b := newLineBackend(eng)
-	for i := 0; i < nCh; i++ {
+// addChannels appends n channels of cfg, with controller defaults for
+// its kind (and the given sleep variant), and returns them as a group.
+func (b *lineBackend) addChannels(cfg dram.Config, n int, deepSleep bool) ChannelGroup {
+	first := len(b.chans)
+	for i := 0; i < n; i++ {
 		ch := dram.NewChannel(cfg, 1, nil)
 		mc := memctrl.DefaultConfig(cfg.Kind)
 		mc.DeepSleep = deepSleep
-		b.addCtrl(ch, memctrl.New(eng, ch, mc))
+		b.addCtrl(ch, memctrl.New(b.eng, ch, mc))
 	}
+	return ChannelGroup{Kind: cfg.Kind, Cfg: cfg, Chans: b.chans[first:], Ctrls: b.ctrls[first:],
+		DevicesPerAccess: cfg.Geom.DevicesPerRank, DevicesPerRank: cfg.Geom.DevicesPerRank}
+}
+
+// newHomogeneous builds nCh channels of cfg.
+func newHomogeneous(eng *sim.Engine, cfg dram.Config, nCh int, deepSleep bool) *lineBackend {
+	b := newLineBackend(eng)
+	b.group = []ChannelGroup{b.addChannels(cfg, nCh, deepSleep)}
 	b.route = func(la uint64) (int, uint64) {
 		return int(la % uint64(nCh)), la / uint64(nCh)
 	}
-	b.group = []ChannelGroup{{Kind: cfg.Kind, Cfg: cfg, Chans: b.chans, Ctrls: b.ctrls,
-		DevicesPerAccess: cfg.Geom.DevicesPerRank, DevicesPerRank: cfg.Geom.DevicesPerRank}}
 	return b
 }
 
@@ -204,6 +214,11 @@ func (b *lineBackend) IssueWriteback(lineAddr uint64) bool {
 func (b *lineBackend) DegradeCrit() {}
 
 func (b *lineBackend) Groups() []ChannelGroup { return b.group }
+
+func (b *lineBackend) lineChannel(lineAddr uint64) int {
+	ch, _ := b.route(lineAddr)
+	return ch
+}
 
 // cwfBackend is the split organization of Figure 5c: four line channels
 // carrying words 1-7 + ECC, and four x9 critical-word sub-channels (one
@@ -463,31 +478,25 @@ func (b *cwfBackend) DegradeCrit() { b.critDead = true }
 
 func (b *cwfBackend) Groups() []ChannelGroup { return b.groups }
 
-// newPagePlaced builds the §7.1 comparison: channel 0 is a half-size
-// full-line RLDRAM3 channel holding the profiled hot pages; channels
-// 1..3 are LPDDR2. Lines of a page stay on one channel.
-func newPagePlaced(eng *sim.Engine, hot map[uint64]bool, deepSleep bool) *lineBackend {
+func (b *cwfBackend) lineChannel(lineAddr uint64) int {
+	ch, _ := b.split(lineAddr)
+	return ch
+}
+
+// newPagePlaced builds the §7.1 comparison: nHot full-line channels of
+// hotCfg hold the profiled hot pages, nFar channels of farCfg every
+// other page. Lines of a page stay on one channel.
+func newPagePlaced(eng *sim.Engine, hotCfg dram.Config, nHot int, farCfg dram.Config, nFar int,
+	hot map[uint64]bool, deepSleep bool) *lineBackend {
 	b := newLineBackend(eng)
-	kinds := []dram.Config{dram.RLDRAM3Config(), dram.LPDDR2Config(), dram.LPDDR2Config(), dram.LPDDR2Config()}
-	for _, cfg := range kinds {
-		ch := dram.NewChannel(cfg, 1, nil)
-		mc := memctrl.DefaultConfig(cfg.Kind)
-		mc.DeepSleep = deepSleep
-		b.addCtrl(ch, memctrl.New(eng, ch, mc))
-	}
+	b.group = []ChannelGroup{b.addChannels(hotCfg, nHot, deepSleep), b.addChannels(farCfg, nFar, deepSleep)}
 	const linesPerPage = 64
 	b.route = func(la uint64) (int, uint64) {
 		page := la / linesPerPage
 		if hot[page] {
-			return 0, la
+			return int(page % uint64(nHot)), la
 		}
-		return 1 + int(page%3), la
-	}
-	b.group = []ChannelGroup{
-		{Kind: dram.RLDRAM3, Cfg: kinds[0], Chans: b.chans[:1], Ctrls: b.ctrls[:1],
-			DevicesPerAccess: 9, DevicesPerRank: 9},
-		{Kind: dram.LPDDR2, Cfg: kinds[1], Chans: b.chans[1:], Ctrls: b.ctrls[1:],
-			DevicesPerAccess: 8, DevicesPerRank: 8},
+		return nHot + int(page%uint64(nFar)), la
 	}
 	return b
 }

@@ -193,7 +193,7 @@ func TestCWFBackendGroups(t *testing.T) {
 func TestPagePlacedRouting(t *testing.T) {
 	eng := &sim.Engine{}
 	hot := map[uint64]bool{0: true}
-	b := newPagePlaced(eng, hot, false)
+	b := newPagePlaced(eng, dram.RLDRAM3Config(), 1, dram.LPDDR2Config(), Channels-1, hot, false)
 	// Lines of hot page 0 go to channel 0 (RLDRAM3).
 	if ch, _ := b.route(5); ch != 0 {
 		t.Fatalf("hot line routed to channel %d", ch)

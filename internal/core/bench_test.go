@@ -15,10 +15,7 @@ func BenchmarkHierarchyReadPath(b *testing.B) {
 	cfg := RL(1)
 	cfg.Prefetch = false
 	eng := &sim.Engine{}
-	mem, err := buildBackend(eng, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	mem := buildBackend(eng, cfg)
 	h := newHierarchy(eng, cfg, mem, false)
 	wake := func() {}
 	miss := func(addr uint64) {
@@ -42,25 +39,17 @@ func BenchmarkHierarchyReadPath(b *testing.B) {
 }
 
 // TestReadPathSteadyStateAllocs pins the full read path's steady-state
-// allocation behaviour — for the legacy boolean spelling, the explicit
-// topology spelling (same build path, proving the declarative layer
-// adds no per-read garbage), and the DRAM-cache organization whose
-// install-on-miss writes must come from the pool. The only tolerated
-// allocations are the ones the model's bookkeeping owns (map-of-line
-// growth in the reuse census and placement tables); the event kernel
-// itself must contribute zero.
+// allocation behaviour — for the RL split and the DRAM-cache
+// organization whose install-on-miss writes must come from the pool.
+// The only tolerated allocations are the ones the model's bookkeeping
+// owns (map-of-line growth in the reuse census and placement tables);
+// the event kernel itself must contribute zero.
 func TestReadPathSteadyStateAllocs(t *testing.T) {
-	rlTopo := RL(1)
-	spec, _ := rlTopo.EffectiveTopology()
-	rlTopo.Split, rlTopo.CritKind, rlTopo.LineKind = false, 0, 0
-	rlTopo.Topology = &spec
-
 	for _, tc := range []struct {
 		name string
 		cfg  SystemConfig
 	}{
-		{"rl-boolean", RL(1)},
-		{"rl-topology", rlTopo},
+		{"rl-topology", RL(1)},
 		{"dram-cache", DRAMCached(1)},
 	} {
 		tc := tc
@@ -68,10 +57,7 @@ func TestReadPathSteadyStateAllocs(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Prefetch = false
 			eng := &sim.Engine{}
-			mem, err := buildBackend(eng, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			mem := buildBackend(eng, cfg)
 			h := newHierarchy(eng, cfg, mem, false)
 			addr := uint64(0)
 			miss := func() {

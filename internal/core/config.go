@@ -10,6 +10,9 @@
 //   - the placement policies: static word-0, adaptive (§4.2.5), oracle
 //     and random (§6.1.1), and
 //   - the §7.1 page-placement comparison system.
+//
+// Every organization is a topology.Spec; the named configs below are
+// presets that differ only in the spec they set.
 package core
 
 import (
@@ -64,22 +67,11 @@ type SystemConfig struct {
 	Name   string
 	NCores int
 
-	// LineKind is the device family of the four full-line channels.
-	LineKind dram.Kind
-	// Split enables the CWF organization: word fills come from a
-	// separate critical channel of CritKind devices.
-	Split    bool
-	CritKind dram.Kind
-
-	// Topology, when set, declares the memory organization explicitly
-	// (see internal/topology) instead of deriving it from the legacy
-	// organization booleans above. It is exclusive with Split,
-	// PagePlacement, PrivateCritCmdBus and WideCritRank: a config sets
-	// either the declarative spec or the flags it replaces, never both.
-	// Legacy configs and their topology spellings hash to the same
-	// ConfigKey (both reduce through EffectiveTopology), so cached runs
-	// are shared across the two paths.
-	Topology *topology.Spec
+	// Topology is the memory organization (see internal/topology): the
+	// device family, channel count and role of every channel group,
+	// including the §4.2.4 ablations (a private crit command bus, one
+	// wide crit rank) and the §7.1 hot-tier page placement.
+	Topology topology.Spec
 
 	Placement Placement
 
@@ -90,11 +82,10 @@ type SystemConfig struct {
 	// power and self-refresh-class deep sleep.
 	DeepSleepLP bool
 
-	// PagePlacement selects the §7.1 comparison system instead of CWF:
-	// channel 0 is a half-size full-line RLDRAM3 channel for hot pages,
-	// channels 1-3 are LPDDR2. HotPages is the offline profile.
-	PagePlacement bool
-	HotPages      map[uint64]bool
+	// HotPages is the offline page profile of a hot-tier topology
+	// (§7.1): its pages live on the hot tier, every other page on the
+	// far tier.
+	HotPages map[uint64]bool
 
 	// CritParityErrorRate injects per-byte parity failures on critical
 	// word deliveries (§4.2.3): on a failure the consumer waits for
@@ -106,18 +97,6 @@ type SystemConfig struct {
 	// DIMM class plus a scripted event schedule. The zero value injects
 	// nothing and costs nothing.
 	Faults faults.Config
-
-	// PrivateCritCmdBus undoes the §4.2.4 aggregation: each critical
-	// sub-channel gets its own address/command bus (and the pin cost
-	// that entails). Ablation for the shared-bus bottleneck discussed
-	// in §6.1.2.
-	PrivateCritCmdBus bool
-
-	// WideCritRank undoes the §4.2.4 sub-ranking: critical words are
-	// striped across one 4-chip 36-bit rank instead of four narrow x9
-	// ranks — shorter bursts, but 4 chips activate per access and rank
-	// parallelism collapses.
-	WideCritRank bool
 
 	// TrackPerLine enables the Figure 3 per-line critical word census.
 	TrackPerLine bool
@@ -160,10 +139,9 @@ type SystemConfig struct {
 // ConfigKey is a comparable identity for a SystemConfig, fit for use
 // as a memoization map key: two configs with equal keys produce
 // identical simulation results. Every SystemConfig field that affects
-// behaviour appears here — the memory organization (LineKind, Split,
-// CritKind, PrivateCritCmdBus, WideCritRank, or an explicit Topology)
-// collapses into one canonical topology string, HotPages is reduced to
-// an order-independent digest plus cardinality, and TraceFn is excluded
+// behaviour appears here — the memory organization is its canonical
+// topology string, HotPages is reduced to an order-independent digest
+// plus cardinality, and TraceFn is excluded
 // (its doc comment already declares it not part of a configuration's
 // identity). A reflection test (TestConfigKeyCoversSystemConfig) fails
 // the build's test run if a field is added to SystemConfig without a
@@ -172,15 +150,15 @@ type SystemConfig struct {
 type ConfigKey struct {
 	Name   string
 	NCores int
-	// Topology is EffectiveTopology().Canonical(): the organization in
-	// its normalized text form, identical whether the config spelled it
-	// with legacy booleans or an explicit spec. Empty only for the
-	// page-placement system, whose organization the PagePlacement and
-	// HotPages fields identify.
-	Topology            string
-	Placement           Placement
-	Prefetch            bool
-	DeepSleepLP         bool
+	// Topology is Topology.Canonical(): the organization in its
+	// normalized text form.
+	Topology    string
+	Placement   Placement
+	Prefetch    bool
+	DeepSleepLP bool
+	// PagePlacement reports a hot-tier topology. Topology implies it;
+	// it stays so the keys of every other organization, and the durable
+	// store entries they address, are unchanged.
 	PagePlacement       bool
 	HotPagesLen         int
 	HotPagesDigest      uint64
@@ -196,18 +174,14 @@ type ConfigKey struct {
 
 // Key derives the comparable identity of the configuration.
 func (c SystemConfig) Key() ConfigKey {
-	var topo string
-	if spec, ok := c.EffectiveTopology(); ok {
-		topo = spec.Canonical()
-	}
 	return ConfigKey{
 		Name:                c.Name,
 		NCores:              c.NCores,
-		Topology:            topo,
+		Topology:            c.Topology.Canonical(),
 		Placement:           c.Placement,
 		Prefetch:            c.Prefetch,
 		DeepSleepLP:         c.DeepSleepLP,
-		PagePlacement:       c.PagePlacement,
+		PagePlacement:       c.Topology.Shape() == topology.ShapePage,
 		HotPagesLen:         len(c.HotPages),
 		HotPagesDigest:      hotPagesDigest(c.HotPages),
 		CritParityErrorRate: c.CritParityErrorRate,
@@ -219,36 +193,6 @@ func (c SystemConfig) Key() ConfigKey {
 		ClosePageLines:      c.ClosePageLines,
 		Seed:                c.Seed,
 	}
-}
-
-// EffectiveTopology resolves the memory organization this config
-// builds, whether declared explicitly (Topology) or through the legacy
-// booleans. It reports ok=false only for the §7.1 page-placement
-// system, whose hot-page routing is a placement policy rather than a
-// channel topology (PagePlacement and HotPages stay in the key for
-// it). The result is normalized, so its Canonical() string is the
-// organization's identity.
-func (c SystemConfig) EffectiveTopology() (topology.Spec, bool) {
-	if c.Topology != nil {
-		return c.Topology.Normalized(), true
-	}
-	if c.PagePlacement {
-		return topology.Spec{}, false
-	}
-	if c.Split {
-		critN := Channels
-		bus := topology.BusDefault
-		if c.PrivateCritCmdBus {
-			bus = topology.BusPrivate
-		}
-		if c.WideCritRank {
-			// One wide rank is a single channel; the shared/private
-			// command-bus distinction vanishes with it.
-			critN, bus = 1, topology.BusDefault
-		}
-		return topology.CWF(c.CritKind, critN, c.LineKind, Channels, bus, c.WideCritRank), true
-	}
-	return topology.Unified(c.LineKind, Channels), true
 }
 
 // hotPagesDigest folds the hot-page set into an order-independent
@@ -317,54 +261,16 @@ func (c SystemConfig) Validate() error {
 	if c.NCores <= 0 || c.NCores > 64 {
 		return fmt.Errorf("core: bad core count %d", c.NCores)
 	}
-	if c.Topology != nil {
-		// The declarative spec replaces the legacy organization flags;
-		// mixing the two would leave it ambiguous which one builds.
-		if c.Split || c.PagePlacement || c.PrivateCritCmdBus || c.WideCritRank {
-			return fmt.Errorf("core: explicit Topology is exclusive with Split/PagePlacement/PrivateCritCmdBus/WideCritRank")
-		}
-		if err := c.Topology.Validate(); err != nil {
-			return err
-		}
-		for _, g := range c.Topology.Groups {
-			if g.Role == topology.RoleCrit {
-				switch g.Kind {
-				case dram.RLDRAM3, dram.DDR3, dram.HMCFast:
-				default:
-					return fmt.Errorf("core: unsupported critical channel kind %v", g.Kind)
-				}
-				continue
-			}
-			// Every full-line tier (line, unified, cache, far) must be a
-			// family the line-channel builder knows.
-			cfg, err := lineConfigFor(g.Kind)
-			if err != nil {
-				return err
-			}
-			if err := cfg.Validate(); err != nil {
-				return err
-			}
-		}
-	} else {
-		if c.Split && c.PagePlacement {
-			return fmt.Errorf("core: split CWF and page placement are exclusive")
-		}
-		if c.Split && c.CritKind == c.LineKind && c.CritKind == dram.LPDDR2 {
-			return fmt.Errorf("core: LPDDR2 critical channel is not a modelled design point")
-		}
-		lineCfg, err := lineConfigFor(c.LineKind)
+	if err := c.Topology.Validate(); err != nil {
+		return err
+	}
+	for _, g := range c.Topology.Groups {
+		cfg, err := deviceConfigFor(g)
 		if err != nil {
 			return err
 		}
-		if err := lineCfg.Validate(); err != nil {
+		if err := cfg.Validate(); err != nil {
 			return err
-		}
-		if c.Split {
-			switch c.CritKind {
-			case dram.RLDRAM3, dram.DDR3, dram.HMCFast:
-			default:
-				return fmt.Errorf("core: unsupported critical channel kind %v", c.CritKind)
-			}
 		}
 	}
 	switch c.Placement {
@@ -392,7 +298,7 @@ func (c SystemConfig) Validate() error {
 	if err := coreCfg.Validate(); err != nil {
 		return err
 	}
-	if err := c.Faults.Validate(Channels); err != nil {
+	if err := c.Faults.Validate(lineChannels(c.Topology)); err != nil {
 		return err
 	}
 	return nil
@@ -400,76 +306,69 @@ func (c SystemConfig) Validate() error {
 
 // Named baseline configurations of the paper's evaluation.
 
+// preset is a named organization with the stride prefetcher on.
+func preset(name string, nCores int, spec topology.Spec) SystemConfig {
+	return SystemConfig{Name: name, NCores: nCores, Topology: spec, Prefetch: true}
+}
+
 // Baseline is the 8GB all-DDR3 system of Figure 5a.
 func Baseline(nCores int) SystemConfig {
-	return SystemConfig{Name: "DDR3-baseline", NCores: nCores,
-		LineKind: dram.DDR3, Prefetch: true}
+	return preset("DDR3-baseline", nCores, topology.Unified(dram.DDR3, Channels))
 }
 
 // HomogeneousLPDDR2 replaces every channel with LPDDR2 (Figure 1).
 func HomogeneousLPDDR2(nCores int) SystemConfig {
-	return SystemConfig{Name: "LPDDR2-homog", NCores: nCores,
-		LineKind: dram.LPDDR2, Prefetch: true}
+	return preset("LPDDR2-homog", nCores, topology.Unified(dram.LPDDR2, Channels))
 }
 
 // HomogeneousRLDRAM3 replaces every channel with RLDRAM3 (Figures 1, 9),
 // ignoring its capacity shortfall as the paper does for this bound.
 func HomogeneousRLDRAM3(nCores int) SystemConfig {
-	return SystemConfig{Name: "RLDRAM3-homog", NCores: nCores,
-		LineKind: dram.RLDRAM3, Prefetch: true}
+	return preset("RLDRAM3-homog", nCores, topology.Unified(dram.RLDRAM3, Channels))
+}
+
+// cwf is the paper's split: one critical sub-channel per line channel,
+// all behind the shared command bus (§4.2.4).
+func cwf(crit, line dram.Kind) topology.Spec {
+	return topology.CWF(crit, Channels, line, Channels, topology.BusDefault, false)
 }
 
 // RL is the flagship configuration: RLDRAM3 critical words over LPDDR2
 // lines (§6.1).
 func RL(nCores int) SystemConfig {
-	return SystemConfig{Name: "RL", NCores: nCores,
-		LineKind: dram.LPDDR2, Split: true, CritKind: dram.RLDRAM3, Prefetch: true}
+	return preset("RL", nCores, cwf(dram.RLDRAM3, dram.LPDDR2))
 }
 
 // RD is RLDRAM3 critical words over DDR3 lines.
 func RD(nCores int) SystemConfig {
-	return SystemConfig{Name: "RD", NCores: nCores,
-		LineKind: dram.DDR3, Split: true, CritKind: dram.RLDRAM3, Prefetch: true}
+	return preset("RD", nCores, cwf(dram.RLDRAM3, dram.DDR3))
 }
 
 // DL is DDR3 critical words over LPDDR2 lines (the power-lean point).
 func DL(nCores int) SystemConfig {
-	return SystemConfig{Name: "DL", NCores: nCores,
-		LineKind: dram.LPDDR2, Split: true, CritKind: dram.DDR3, Prefetch: true}
+	return preset("DL", nCores, cwf(dram.DDR3, dram.LPDDR2))
 }
 
 // HMCHetero is the §10 future-work sketch implemented: critical words
 // from a high-frequency HMC cube, lines from low-power low-frequency
 // cubes — the "critical-data-first architecture with HMCs" variant.
 func HMCHetero(nCores int) SystemConfig {
-	return SystemConfig{Name: "HMC-hetero", NCores: nCores,
-		LineKind: dram.HMCLP, Split: true, CritKind: dram.HMCFast, Prefetch: true}
+	return preset("HMC-hetero", nCores, cwf(dram.HMCFast, dram.HMCLP))
 }
 
 // PagePlaced is the §7.1 comparison: profiled hot pages on a half-size
 // full-line RLDRAM3 channel, the rest on three LPDDR2 channels.
 func PagePlaced(nCores int, hot map[uint64]bool) SystemConfig {
-	return SystemConfig{Name: "page-placement", NCores: nCores,
-		LineKind: dram.LPDDR2, PagePlacement: true, HotPages: hot, Prefetch: true}
+	cfg := preset("page-placement", nCores, topology.PagePlaced(dram.RLDRAM3, 1, dram.LPDDR2, Channels-1))
+	cfg.HotPages = hot
+	return cfg
 }
 
-// DRAMCached is the topology-native 3-tier organization: one RLDRAM3
-// channel holding a 64MB direct-mapped line cache (tags-with-data, per
-// the Alloy-cache controller model) fronting four slow LPDDR2 far
-// channels.
+// DRAMCached is the 3-tier organization: one RLDRAM3 channel holding a
+// 64MB direct-mapped line cache (tags-with-data, per the Alloy-cache
+// controller model) fronting four slow LPDDR2 far channels.
 func DRAMCached(nCores int) SystemConfig {
-	spec := topology.DRAMCache(dram.RLDRAM3, 1, 64, dram.LPDDR2, 4)
-	return SystemConfig{Name: "DRAM-cache", NCores: nCores,
-		Topology: &spec, Prefetch: true}
-}
-
-// HMCMix is the §10 HMC-fast/HMC-lp mix spelled as an explicit
-// topology: behaviourally the same organization HMCHetero derives from
-// the legacy booleans, declared through the composable path.
-func HMCMix(nCores int) SystemConfig {
-	spec := topology.CWF(dram.HMCFast, Channels, dram.HMCLP, Channels, topology.BusDefault, false)
-	return SystemConfig{Name: "HMC-mix", NCores: nCores,
-		Topology: &spec, Prefetch: true}
+	return preset("DRAM-cache", nCores, topology.DRAMCache(dram.RLDRAM3, 1, 64, dram.LPDDR2, Channels))
 }
 
 // RunScale sizes a run.

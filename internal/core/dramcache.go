@@ -249,3 +249,10 @@ func (b *dramCacheBackend) IssueWriteback(lineAddr uint64) bool {
 func (b *dramCacheBackend) DegradeCrit() {}
 
 func (b *dramCacheBackend) Groups() []ChannelGroup { return b.groups }
+
+// lineChannel is the far channel backing the line: the cache tier holds
+// only copies.
+func (b *dramCacheBackend) lineChannel(lineAddr uint64) int {
+	ch, _ := b.far(lineAddr)
+	return ch
+}

@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"hetsim/internal/cache"
 	"hetsim/internal/faults"
+	"hetsim/internal/topology"
 )
 
 // TestArmedIdleFaultLayerIsByteIdentical: a config whose fault layer is
@@ -126,7 +128,6 @@ func TestValidateRejectsDegenerateConfigs(t *testing.T) {
 		{"zero cores", func(c *SystemConfig) { c.NCores = 0 }, false},
 		{"negative cores", func(c *SystemConfig) { c.NCores = -3 }, false},
 		{"absurd cores", func(c *SystemConfig) { c.NCores = 65 }, false},
-		{"split plus page placement", func(c *SystemConfig) { c.PagePlacement = true }, false},
 		{"unknown placement", func(c *SystemConfig) { c.Placement = Placement(9) }, false},
 		{"unknown mapping", func(c *SystemConfig) { c.LineMapping = Mapping(9) }, false},
 		{"negative ROB", func(c *SystemConfig) { c.ROBSize = -1 }, false},
@@ -159,6 +160,36 @@ func TestValidateRejectsDegenerateConfigs(t *testing.T) {
 			if _, nerr := NewSystem(cfg, mustSpec(t, "libquantum")); nerr == nil {
 				t.Errorf("%s: NewSystem accepted a degenerate config", tc.name)
 			}
+		}
+	}
+}
+
+// TestLineFaultsFollowBackendRouting scripts a chip-kill on line channel
+// 5 of an eight-line topology: the schedule must validate, and only the
+// lines the backend routes to channel 5 may pay reconstruction.
+func TestLineFaultsFollowBackendRouting(t *testing.T) {
+	cfg := RL(2)
+	spec, err := topology.Parse("crit:rldram3x2+line:ddr3x8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Topology = spec
+	if cfg.Faults, err = faults.Parse("@0 chipkill line 5 3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("chip-kill on line channel 5 rejected: %v", err)
+	}
+	sys, err := NewSystem(cfg, mustSpec(t, "libquantum"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sys.Hier
+	for la := uint64(0); la < 64; la++ {
+		before := h.Stat.Reconstructions
+		h.onLine(&cache.Entry{LineAddr: la})
+		if paid, want := h.Stat.Reconstructions > before, la%8 == 5; paid != want {
+			t.Errorf("line %d (channel %d): reconstruction paid %v, want %v", la, la%8, paid, want)
 		}
 	}
 }

@@ -68,11 +68,9 @@ type Hierarchy struct {
 	eng *sim.Engine
 	cfg SystemConfig
 
-	// split reports whether the effective topology is the CWF split
-	// organization — derived from EffectiveTopology at construction so
-	// a config declaring the split via an explicit Topology spec drives
-	// the same paths (placement, parity, crit-fault injection, adaptive
-	// re-placement) as one using the legacy Split boolean.
+	// split reports whether the topology is the CWF split organization,
+	// which enables the placement, parity, crit-fault and adaptive
+	// re-placement paths.
 	split bool
 
 	l1s  []*cache.Cache
@@ -120,15 +118,14 @@ const (
 )
 
 func newHierarchy(eng *sim.Engine, cfg SystemConfig, mem backend, shared bool) *Hierarchy {
-	spec, ok := cfg.EffectiveTopology()
 	h := &Hierarchy{
 		eng: eng, cfg: cfg, mem: mem, sharedSpace: shared,
-		split:  ok && spec.Shape() == topology.ShapeCWF,
+		split:  cfg.Topology.Shape() == topology.ShapeCWF,
 		l2:     cache.New(4*1024*1024, 8),
 		mshr:   cache.NewMSHR(MSHRCapacity),
 		placed: make(map[uint64]uint8),
 		rng:    sim.NewRNG(cfg.Seed ^ 0xec5),
-		inj:    faults.New(cfg.Faults, Channels),
+		inj:    faults.New(cfg.Faults, lineChannels(cfg.Topology)),
 		recent: make(map[uint64]fillRec, reuseTrackCap),
 	}
 	h.recentRing = make([]uint64, reuseTrackCap)
@@ -367,7 +364,7 @@ func (h *Hierarchy) onReqWord(e *cache.Entry) {
 // modeled penalty.
 func (h *Hierarchy) onLine(e *cache.Entry) {
 	if h.inj != nil {
-		delay, out := h.inj.LineRead(h.eng.Now(), e.LineAddr, int(e.LineAddr%Channels))
+		delay, out := h.inj.LineRead(h.eng.Now(), e.LineAddr, h.mem.lineChannel(e.LineAddr))
 		if delay > 0 {
 			switch out {
 			case faults.LineCorrected:

@@ -22,8 +22,7 @@ import (
 //     changing a completed run's Results (TraceFn, Cancel).
 //  2. Collapsed representation: the field's behavioural content is
 //     carried by another key field — it must be listed as mapping to
-//     that field, never to nil (the organization fields → Topology,
-//     HotPages → its digest pair).
+//     that field, never to nil (HotPages → its digest pair).
 //
 // Anything else MUST appear in the key under its own name. When in
 // doubt, key it: a spurious key field costs a duplicate cache entry, a
@@ -35,20 +34,12 @@ func TestConfigKeyCoversSystemConfig(t *testing.T) {
 	mapping := map[string][]string{
 		"Name":   {"Name"},
 		"NCores": {"NCores"},
-		// The five legacy organization fields and the explicit spec all
-		// collapse into the canonical topology string: EffectiveTopology
-		// reduces either spelling to the same normalized form, which is
-		// exactly why boolean and topology configs share cache entries.
-		"LineKind":            {"Topology"},
-		"Split":               {"Topology"},
-		"CritKind":            {"Topology"},
-		"PrivateCritCmdBus":   {"Topology"},
-		"WideCritRank":        {"Topology"},
-		"Topology":            {"Topology"},
+		// The spec keys as its canonical string, plus the page-shape
+		// flag the key carried before page placement was a topology.
+		"Topology":            {"Topology", "PagePlacement"},
 		"Placement":           {"Placement"},
 		"Prefetch":            {"Prefetch"},
 		"DeepSleepLP":         {"DeepSleepLP"},
-		"PagePlacement":       {"PagePlacement"},
 		"HotPages":            {"HotPagesLen", "HotPagesDigest"},
 		"CritParityErrorRate": {"CritParityErrorRate"},
 		"Faults":              {"Faults"},
@@ -116,18 +107,25 @@ func TestConfigKeyDistinguishes(t *testing.T) {
 	}
 	add("Name", func(c *SystemConfig) { c.Name = "other" })
 	add("NCores", func(c *SystemConfig) { c.NCores = 4 })
-	add("LineKind", func(c *SystemConfig) { c.LineKind = dram.DDR3 })
-	add("Split", func(c *SystemConfig) { c.Split = false })
-	add("CritKind", func(c *SystemConfig) { c.CritKind = dram.DDR3 })
-	add("Topology", func(c *SystemConfig) {
-		c.Split, c.CritKind = false, 0
-		spec := topology.DRAMCache(dram.RLDRAM3, 1, 64, dram.LPDDR2, 4)
-		c.Topology = &spec
+	// Organization variants are spec mutations of RL's crit:rldram3x4+
+	// line:lpddr2x4.
+	cwf := func(crit dram.Kind, critN int, line dram.Kind, bus topology.BusWiring, wide bool) func(*SystemConfig) {
+		return func(c *SystemConfig) { c.Topology = topology.CWF(crit, critN, line, Channels, bus, wide) }
+	}
+	add("Topology.CritKind", cwf(dram.DDR3, Channels, dram.LPDDR2, topology.BusDefault, false))
+	add("Topology.LineKind", cwf(dram.RLDRAM3, Channels, dram.DDR3, topology.BusDefault, false))
+	add("Topology.PrivateBus", cwf(dram.RLDRAM3, Channels, dram.LPDDR2, topology.BusPrivate, false))
+	add("Topology.WideRank", cwf(dram.RLDRAM3, 1, dram.LPDDR2, topology.BusDefault, true))
+	add("Topology.Unified", func(c *SystemConfig) { c.Topology = topology.Unified(dram.LPDDR2, Channels) })
+	add("Topology.Cache", func(c *SystemConfig) {
+		c.Topology = topology.DRAMCache(dram.RLDRAM3, 1, 64, dram.LPDDR2, Channels)
+	})
+	add("Topology.Page", func(c *SystemConfig) {
+		c.Topology = topology.PagePlaced(dram.RLDRAM3, 1, dram.LPDDR2, Channels-1)
 	})
 	add("Placement", func(c *SystemConfig) { c.Placement = PlaceOracle })
 	add("Prefetch", func(c *SystemConfig) { c.Prefetch = false })
 	add("DeepSleepLP", func(c *SystemConfig) { c.DeepSleepLP = true })
-	add("PagePlacement", func(c *SystemConfig) { c.PagePlacement = true })
 	add("HotPages", func(c *SystemConfig) { c.HotPages = map[uint64]bool{7: true} })
 	add("CritParityErrorRate", func(c *SystemConfig) { c.CritParityErrorRate = 0.5 })
 	add("Faults.Rates", func(c *SystemConfig) { c.Faults.Crit.TransientBit = 1e-4 })
@@ -135,8 +133,6 @@ func TestConfigKeyDistinguishes(t *testing.T) {
 	add("Faults.Schedule", func(c *SystemConfig) {
 		c.Faults.Schedule = []faults.Event{{At: 10, Kind: faults.Flip, Target: faults.Crit, Channel: -1, Chip: -1}}
 	})
-	add("PrivateCritCmdBus", func(c *SystemConfig) { c.PrivateCritCmdBus = true })
-	add("WideCritRank", func(c *SystemConfig) { c.WideCritRank = true })
 	add("TrackPerLine", func(c *SystemConfig) { c.TrackPerLine = true })
 	add("LineMapping", func(c *SystemConfig) { c.LineMapping = MapXOR })
 	add("ROBSize", func(c *SystemConfig) { c.ROBSize = 128 })
@@ -159,49 +155,6 @@ func TestConfigKeyDistinguishes(t *testing.T) {
 	b.FCFS = true
 	if a.Key() == b.Key() {
 		t.Error("FCFS on/off configs collide")
-	}
-}
-
-// TestConfigKeySharedAcrossSpellings pins the cache-sharing property
-// the topology layer was built around: a config declared with the
-// legacy booleans and the same organization declared as an explicit
-// topology spec produce the SAME key, so memoized and stored runs are
-// shared across the two paths.
-func TestConfigKeySharedAcrossSpellings(t *testing.T) {
-	toTopology := func(c SystemConfig) SystemConfig {
-		spec, ok := c.EffectiveTopology()
-		if !ok {
-			t.Fatalf("%s: no effective topology", c.Name)
-		}
-		c.Split, c.CritKind, c.LineKind = false, 0, 0
-		c.PrivateCritCmdBus, c.WideCritRank = false, false
-		c.Topology = &spec
-		return c
-	}
-	cfgs := []SystemConfig{Baseline(8), HomogeneousLPDDR2(8), HomogeneousRLDRAM3(8),
-		RL(8), RD(8), DL(8), HMCHetero(8)}
-	priv := RL(8)
-	priv.PrivateCritCmdBus = true
-	wide := RL(8)
-	wide.WideCritRank = true
-	cfgs = append(cfgs, priv, wide)
-	for _, legacy := range cfgs {
-		topo := toTopology(legacy)
-		if err := topo.Validate(); err != nil {
-			t.Errorf("%s: topology spelling invalid: %v", legacy.Name, err)
-			continue
-		}
-		if legacy.Key() != topo.Key() {
-			t.Errorf("%s: boolean and topology spellings key differently:\n  %+v\n  %+v",
-				legacy.Name, legacy.Key(), topo.Key())
-		}
-	}
-	// And HMC-mix (explicit) matches HMC-hetero (booleans) on the
-	// Topology component — only Name separates them.
-	a, b := HMCHetero(8).Key(), HMCMix(8).Key()
-	a.Name, b.Name = "", ""
-	if a != b {
-		t.Errorf("HMC-hetero and HMC-mix organizations key differently: %+v vs %+v", a, b)
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"hetsim/internal/dram"
 	"hetsim/internal/faults"
+	"hetsim/internal/topology"
 	"hetsim/internal/trace"
 	"hetsim/internal/workload"
 )
@@ -114,7 +116,7 @@ func TestSystemParallelDifferential(t *testing.T) {
 	dimmDead.Faults.Schedule = []faults.Event{
 		{At: 40_000, Kind: faults.DIMMDead, Target: faults.Crit, Channel: -1, Chip: -1}}
 	privBus := RL(2)
-	privBus.PrivateCritCmdBus = true
+	privBus.Topology = topology.CWF(dram.RLDRAM3, Channels, dram.LPDDR2, Channels, topology.BusPrivate, false)
 	cases := []struct {
 		name  string
 		cfg   SystemConfig
@@ -129,7 +131,7 @@ func TestSystemParallelDifferential(t *testing.T) {
 		{"rl-crit-faults", faulty, "libquantum"},
 		{"rl-dimm-dead", dimmDead, "libquantum"},
 		// Topology-only organizations.
-		{"hmc-mix-topology", HMCMix(2), "libquantum"},
+		{"hmc-mix-topology", hmcMix(2), "libquantum"},
 		{"dram-cache-tiers", DRAMCached(2), "mcf"},
 	}
 	for _, tc := range cases {

@@ -53,12 +53,8 @@ func NewSystem(cfg SystemConfig, spec workload.Spec) (*System, error) {
 		return nil, err
 	}
 	eng := &sim.Engine{}
-	mem, err := buildBackend(eng, cfg)
-	if err != nil {
-		return nil, err
-	}
+	mem := buildBackend(eng, cfg)
 	s := &System{Eng: eng, Cfg: cfg, Spec: spec, mem: mem}
-	applyLineMapping(mem, cfg.LineMapping)
 	if cfg.FCFS {
 		for _, g := range mem.Groups() {
 			for _, ctrl := range g.Ctrls {
@@ -225,16 +221,72 @@ func (s *System) AddEpochSink(k telemetry.Sink) { s.epochSinks = append(s.epochS
 // EpochSinkError reports the first sink flush error of the last Run.
 func (s *System) EpochSinkError() error { return s.flushErr }
 
-// applyLineMapping overrides the address interleaving of the backend's
-// first channel group (the line channels). Close-page groups keep their
-// bank-interleaved mapping: the alternatives below are open-page
-// schemes.
-func applyLineMapping(mem backend, m Mapping) {
-	if m == MapDefault {
-		return
+// buildBackend assembles the memory organization of a validated config
+// from the groups of its topology. The line-bearing group (line,
+// unified or far-tier) takes the close-page and address-mapping
+// ablations.
+func buildBackend(eng *sim.Engine, cfg SystemConfig) backend {
+	spec := cfg.Topology
+	group := func(r topology.Role) (topology.ChannelGroup, dram.Config) {
+		g, _ := spec.Group(r)
+		dc, _ := deviceConfigFor(g) // Validate vetted every group's kind
+		if cfg.ClosePageLines && (r == topology.RoleLine || r == topology.RoleUnified || r == topology.RoleFarTier) {
+			dc.Policy = dram.ClosePage
+		}
+		return g, dc
 	}
-	g := mem.Groups()[0]
-	if g.Cfg.Policy == dram.ClosePage {
+	var mem backend
+	var lines ChannelGroup
+	switch spec.Shape() {
+	case topology.ShapeCWF:
+		crit, critCfg := group(topology.RoleCrit)
+		line, lineCfg := group(topology.RoleLine)
+		b := newCWF(eng, lineCfg, critCfg, cwfOptions{
+			lineChans:     line.Count,
+			critSubs:      crit.Count,
+			deepSleep:     cfg.DeepSleepLP,
+			privateCmdBus: crit.Bus == topology.BusPrivate,
+			wideRank:      crit.Wide,
+		})
+		mem, lines = b, b.groups[0]
+	case topology.ShapeCache:
+		cacheG, cacheCfg := group(topology.RoleCacheTier)
+		farG, farCfg := group(topology.RoleFarTier)
+		b := newDRAMCache(eng, cacheCfg, cacheG.Count, cacheG.CapacityMB, farCfg, farG.Count, cfg.DeepSleepLP)
+		mem, lines = b, b.groups[1]
+	case topology.ShapePage:
+		hotG, hotCfg := group(topology.RoleHotTier)
+		farG, farCfg := group(topology.RoleFarTier)
+		b := newPagePlaced(eng, hotCfg, hotG.Count, farCfg, farG.Count, cfg.HotPages, cfg.DeepSleepLP)
+		mem, lines = b, b.group[1]
+	default: // ShapeUnified
+		g, lineCfg := group(topology.RoleUnified)
+		b := newHomogeneous(eng, lineCfg, g.Count, cfg.DeepSleepLP)
+		mem, lines = b, b.group[0]
+	}
+	applyLineMapping(lines, cfg.LineMapping)
+	return mem
+}
+
+// lineChannels is the number of channels a backend's lineChannel routes
+// full lines to: the line, unified or far-tier group, plus the hot tier
+// of page placement. The fault layer's line class indexes them.
+func lineChannels(spec topology.Spec) int {
+	n := 0
+	for _, g := range spec.Groups {
+		switch g.Role {
+		case topology.RoleLine, topology.RoleUnified, topology.RoleFarTier, topology.RoleHotTier:
+			n += g.Count
+		}
+	}
+	return n
+}
+
+// applyLineMapping overrides the address interleaving of the line
+// channels. Close-page groups keep their bank-interleaved mapping: the
+// alternatives below are open-page schemes.
+func applyLineMapping(g ChannelGroup, m Mapping) {
+	if m == MapDefault || g.Cfg.Policy == dram.ClosePage {
 		return
 	}
 	for _, ctrl := range g.Ctrls {
@@ -247,63 +299,13 @@ func applyLineMapping(mem backend, m Mapping) {
 	}
 }
 
-// buildBackend assembles the memory organization for a config by
-// iterating the groups of its effective topology. The §7.1
-// page-placement system is a placement policy over a fixed channel set
-// rather than a topology; it keeps its dedicated builder.
-func buildBackend(eng *sim.Engine, cfg SystemConfig) (backend, error) {
-	if cfg.PagePlacement {
-		return newPagePlaced(eng, cfg.HotPages, cfg.DeepSleepLP), nil
+// deviceConfigFor selects a group's device config: the critical-word
+// config for the crit role, the full-line config for every other role.
+func deviceConfigFor(g topology.ChannelGroup) (dram.Config, error) {
+	if g.Role == topology.RoleCrit {
+		return critConfigFor(g.Kind)
 	}
-	spec, _ := cfg.EffectiveTopology()
-	switch spec.Shape() {
-	case topology.ShapeCWF:
-		crit, _ := spec.Group(topology.RoleCrit)
-		line, _ := spec.Group(topology.RoleLine)
-		lineCfg, err := lineConfigFor(line.Kind)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.ClosePageLines {
-			lineCfg.Policy = dram.ClosePage
-		}
-		critCfg, err := critConfigFor(crit.Kind)
-		if err != nil {
-			return nil, err
-		}
-		return newCWF(eng, lineCfg, critCfg, cwfOptions{
-			lineChans:     line.Count,
-			critSubs:      crit.Count,
-			deepSleep:     cfg.DeepSleepLP,
-			privateCmdBus: crit.Bus == topology.BusPrivate,
-			wideRank:      crit.Wide,
-		}), nil
-	case topology.ShapeCache:
-		cacheG, _ := spec.Group(topology.RoleCacheTier)
-		farG, _ := spec.Group(topology.RoleFarTier)
-		cacheCfg, err := lineConfigFor(cacheG.Kind)
-		if err != nil {
-			return nil, err
-		}
-		farCfg, err := lineConfigFor(farG.Kind)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.ClosePageLines {
-			farCfg.Policy = dram.ClosePage
-		}
-		return newDRAMCache(eng, cacheCfg, cacheG.Count, cacheG.CapacityMB, farCfg, farG.Count, cfg.DeepSleepLP), nil
-	default: // ShapeUnified
-		g := spec.Groups[0]
-		lineCfg, err := lineConfigFor(g.Kind)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.ClosePageLines {
-			lineCfg.Policy = dram.ClosePage
-		}
-		return newHomogeneous(eng, lineCfg, g.Count, cfg.DeepSleepLP), nil
-	}
+	return lineConfigFor(g.Kind)
 }
 
 // critConfigFor selects the critical-word device config for a family.

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"hetsim/internal/dram"
+	"hetsim/internal/memctrl"
+	"hetsim/internal/topology"
 	"hetsim/internal/workload"
 )
 
@@ -221,13 +223,12 @@ func TestConfigValidation(t *testing.T) {
 	if err := (SystemConfig{NCores: 0}).Validate(); err == nil {
 		t.Error("zero cores accepted")
 	}
-	bad := RL(4)
-	bad.PagePlacement = true
-	if err := bad.Validate(); err == nil {
-		t.Error("split+pageplacement accepted")
+	if err := (SystemConfig{NCores: 2}).Validate(); err == nil {
+		t.Error("empty topology accepted")
 	}
-	if _, err := NewSystem(SystemConfig{NCores: 2, Split: true, CritKind: dram.LPDDR2, LineKind: dram.DDR3, Name: "x"},
-		mustSpec(t, "mcf")); err == nil {
+	lpCrit := RD(2)
+	lpCrit.Topology = topology.CWF(dram.LPDDR2, Channels, dram.DDR3, Channels, topology.BusDefault, false)
+	if _, err := NewSystem(lpCrit, mustSpec(t, "mcf")); err == nil {
 		t.Error("LPDDR2 critical channel accepted")
 	}
 }
@@ -277,7 +278,7 @@ func TestHMCHeteroSystem(t *testing.T) {
 
 func TestWideRankSystemRuns(t *testing.T) {
 	cfg := RL(4)
-	cfg.WideCritRank = true
+	cfg.Topology = topology.CWF(dram.RLDRAM3, 1, dram.LPDDR2, Channels, topology.BusDefault, true)
 	cfg.Name = "RL-wide"
 	r := runOne(t, cfg, "libquantum")
 	if r.DemandReads < 1000 || r.CritFromFastFrac < 0.5 {
@@ -287,10 +288,33 @@ func TestWideRankSystemRuns(t *testing.T) {
 
 func TestPrivateCmdBusSystemRuns(t *testing.T) {
 	cfg := RL(4)
-	cfg.PrivateCritCmdBus = true
+	cfg.Topology = topology.CWF(dram.RLDRAM3, Channels, dram.LPDDR2, Channels, topology.BusPrivate, false)
 	cfg.Name = "RL-privbus"
 	r := runOne(t, cfg, "milc")
 	if r.DemandReads < 1000 {
 		t.Fatalf("private-bus run reads = %d", r.DemandReads)
+	}
+}
+
+// TestLineMappingRemapsLineGroup pins that LineMapping reaches the
+// line-bearing group of every shape: on the DRAM cache that is the far
+// tier, not the close-page cache tier listed first.
+func TestLineMappingRemapsLineGroup(t *testing.T) {
+	cfg := DRAMCached(2)
+	cfg.LineMapping = MapXOR
+	sys, err := NewSystem(cfg, mustSpec(t, "mcf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := sys.mem.Groups()
+	for i, ctrl := range groups[1].Ctrls {
+		if _, ok := ctrl.Map.(memctrl.XORMapper); !ok {
+			t.Errorf("far-tier controller %d maps with %T, want XORMapper", i, ctrl.Map)
+		}
+	}
+	for i, ctrl := range groups[0].Ctrls {
+		if _, ok := ctrl.Map.(memctrl.XORMapper); ok {
+			t.Errorf("cache-tier controller %d remapped", i)
+		}
 	}
 }

@@ -76,7 +76,7 @@ func TestSystemTickSkipDifferential(t *testing.T) {
 		{"rl-crit-faults", faulty, "libquantum"},
 		{"rl-dimm-dead", dimmDead, "libquantum"},
 		// Topology-only organizations.
-		{"hmc-mix-topology", HMCMix(2), "libquantum"},
+		{"hmc-mix-topology", hmcMix(2), "libquantum"},
 		{"dram-cache-tiers", DRAMCached(2), "mcf"},
 	}
 	for _, tc := range cases {

@@ -1,153 +1,33 @@
 package core
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"hetsim/internal/cache"
 	"hetsim/internal/dram"
-	"hetsim/internal/faults"
 	"hetsim/internal/sim"
-	"hetsim/internal/trace"
+	"hetsim/internal/topology"
 )
 
-// Boolean-vs-topology differential: every legacy named configuration is
-// rerun with its organization spelled as an explicit topology spec
-// (legacy booleans cleared), and everything observable — summary
-// Results, the full fill trace, and the epoch JSONL stream — must be
-// byte-identical between the two spellings. This is the contract that
-// makes the declarative layer a refactor rather than a fork: the
-// topology path is THE build path, the booleans merely name presets.
-
-// runTopoPath runs one config/benchmark and captures results, the fill
-// trace, and the serialized epoch stream.
-func runTopoPath(t *testing.T, cfg SystemConfig, bench string) (Results, []trace.Record, []byte) {
-	t.Helper()
-	var recs []trace.Record
-	cfg.TraceFn = func(r trace.Record) { recs = append(recs, r) }
-	sys, err := NewSystem(cfg, mustSpec(t, bench))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := sys.Run(RunScale{WarmupReads: 150, MeasureReads: 900,
-		MaxCycles: 20_000_000, EpochInterval: 20_000})
-	var buf bytes.Buffer
-	if res.Epochs != nil {
-		if err := res.Epochs.WriteJSONL(&buf, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res.Epochs = nil // compared via the serialized stream
-	return res, recs, buf.Bytes()
-}
-
-// topologySpelling rewrites a legacy config into its explicit-topology
-// form: the derived spec is pinned and every boolean it subsumes is
-// cleared, so the build can only go through the declarative path.
-func topologySpelling(t *testing.T, cfg SystemConfig) SystemConfig {
-	t.Helper()
-	spec, ok := cfg.EffectiveTopology()
-	if !ok {
-		t.Fatalf("%s has no effective topology", cfg.Name)
-	}
-	cfg.Split, cfg.LineKind, cfg.CritKind = false, 0, 0
-	cfg.PrivateCritCmdBus, cfg.WideCritRank = false, false
-	cfg.Topology = &spec
+// hmcMix is the hmc-mix named topology applied over another preset, as
+// -topology hmc-mix does: the HMC-hetero machine reached by replacing a
+// preset's spec rather than by naming the preset.
+func hmcMix(nCores int) SystemConfig {
+	cfg := Baseline(nCores)
+	cfg.Name = "HMC-mix"
+	cfg.Topology = topology.CWF(dram.HMCFast, Channels, dram.HMCLP, Channels, topology.BusDefault, false)
 	return cfg
 }
 
-func TestSystemTopologyDifferential(t *testing.T) {
-	privBus := RL(2)
-	privBus.PrivateCritCmdBus = true
-	wide := RL(2)
-	wide.WideCritRank = true
-	closePage := RL(2)
-	closePage.ClosePageLines = true
-	deepSleep := RL(2)
-	deepSleep.DeepSleepLP = true
-	adaptive := RL(2)
-	adaptive.Placement = PlaceAdaptive
-	oracle := RL(2)
-	oracle.Placement = PlaceOracle
-	parity := RL(2)
-	parity.CritParityErrorRate = 0.02
-	faulty := RL(2)
-	faulty.Faults.Crit.TransientBit = 0.05
-	faulty.Faults.Seed = 5
-	dimmDead := RL(2)
-	dimmDead.Faults.Schedule = []faults.Event{
-		{At: 40_000, Kind: faults.DIMMDead, Target: faults.Crit, Channel: -1, Chip: -1}}
-
-	cases := []struct {
-		name  string
-		cfg   SystemConfig
-		bench string
-	}{
-		{"baseline-ddr3", Baseline(2), "libquantum"},
-		{"lpddr2-homog", HomogeneousLPDDR2(2), "libquantum"},
-		{"rldram3-homog", HomogeneousRLDRAM3(2), "libquantum"},
-		{"rl", RL(2), "libquantum"},
-		{"rd", RD(2), "mcf"},
-		{"dl", DL(2), "libquantum"},
-		{"hmc-hetero", HMCHetero(2), "libquantum"},
-		{"rl-private-crit-cmdbus", privBus, "libquantum"},
-		{"rl-wide-rank", wide, "libquantum"},
-		{"rl-close-page-lines", closePage, "libquantum"},
-		{"rl-deep-sleep", deepSleep, "libquantum"},
-		// Placement, parity and fault paths key off the hierarchy's
-		// effective-split property; these pin that an explicit topology
-		// drives them identically to the Split boolean.
-		{"rl-adaptive", adaptive, "mcf"},
-		{"rl-oracle", oracle, "libquantum"},
-		{"rl-crit-parity", parity, "libquantum"},
-		{"rl-crit-faults", faulty, "libquantum"},
-		{"rl-dimm-dead", dimmDead, "libquantum"},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			topo := topologySpelling(t, tc.cfg)
-			if err := topo.Validate(); err != nil {
-				t.Fatalf("topology spelling invalid: %v", err)
-			}
-			// The two spellings must share one cache identity.
-			if tc.cfg.Key() != topo.Key() {
-				t.Fatalf("keys differ between spellings:\nboolean  %+v\ntopology %+v",
-					tc.cfg.Key(), topo.Key())
-			}
-			refRes, refRecs, refEpochs := runTopoPath(t, tc.cfg, tc.bench)
-			gotRes, gotRecs, gotEpochs := runTopoPath(t, topo, tc.bench)
-			if !reflect.DeepEqual(refRes, gotRes) {
-				t.Errorf("results diverged:\nboolean  %+v\ntopology %+v", refRes, gotRes)
-			}
-			if len(refRecs) != len(gotRecs) {
-				t.Fatalf("trace length diverged: boolean %d, topology %d records",
-					len(refRecs), len(gotRecs))
-			}
-			for i := range refRecs {
-				if refRecs[i] != gotRecs[i] {
-					t.Fatalf("trace diverged at record %d:\nboolean  %+v\ntopology %+v",
-						i, refRecs[i], gotRecs[i])
-				}
-			}
-			if !bytes.Equal(refEpochs, gotEpochs) {
-				t.Errorf("epoch streams diverged (%d vs %d bytes)", len(refEpochs), len(gotEpochs))
-			}
-		})
-	}
-}
-
-// TestTopologyScenariosRun smoke-runs the two organizations only the
-// declarative layer can express end-to-end: the DRAM-cache tiering and
-// the §10 HMC mix.
+// TestTopologyScenariosRun smoke-runs the DRAM-cache tiering and the
+// §10 HMC mix end to end.
 func TestTopologyScenariosRun(t *testing.T) {
 	for _, tc := range []struct {
 		cfg   SystemConfig
 		bench string
 	}{
 		{DRAMCached(2), "mcf"},
-		{HMCMix(2), "libquantum"},
+		{hmcMix(2), "libquantum"},
 	} {
 		t.Run(tc.cfg.Name, func(t *testing.T) {
 			sys, err := NewSystem(tc.cfg, mustSpec(t, tc.bench))

@@ -2,7 +2,9 @@ package exp
 
 import (
 	"hetsim/internal/core"
+	"hetsim/internal/dram"
 	"hetsim/internal/stats"
+	"hetsim/internal/topology"
 )
 
 // CmdBusResult is the §4.2.4/§6.1.2 shared-command-bus ablation.
@@ -28,7 +30,7 @@ func CmdBusAblation(r *Runner) (CmdBusResult, error) {
 	shared.Placement = core.PlaceOracle
 	shared.Name = "RL-OR"
 	private := shared
-	private.PrivateCritCmdBus = true
+	private.Topology = topology.CWF(dram.RLDRAM3, core.Channels, dram.LPDDR2, core.Channels, topology.BusPrivate, false)
 	private.Name = "RL-OR-privbus"
 	r.Submit(core.Baseline(0), shared, private)
 	var sh, pr []float64
@@ -74,7 +76,7 @@ func SubRankAblation(r *Runner) (SubRankResult, error) {
 		Headers: []string{"benchmark", "narrowPerf", "widePerf", "narrowEn", "wideEn"}}
 	narrow := core.RL(0)
 	wide := core.RL(0)
-	wide.WideCritRank = true
+	wide.Topology = topology.CWF(dram.RLDRAM3, 1, dram.LPDDR2, core.Channels, topology.BusDefault, true)
 	wide.Name = "RL-widerank"
 	r.Submit(core.Baseline(0), narrow, wide)
 	var np, wp, ne, we []float64

@@ -24,10 +24,10 @@ type TopologyResult struct {
 
 // Topologies runs each config across the runner's benchmark suite and
 // normalizes to the DDR3 baseline. With no configs it studies the
-// default DRAM-cache and HMC-mix organizations.
+// default DRAM-cache and HMC-hetero organizations.
 func Topologies(r *Runner, cfgs []core.SystemConfig) (TopologyResult, error) {
 	if len(cfgs) == 0 {
-		cfgs = []core.SystemConfig{core.DRAMCached(0), core.HMCMix(0)}
+		cfgs = []core.SystemConfig{core.DRAMCached(0), core.HMCHetero(0)}
 	}
 	r.Submit(append([]core.SystemConfig{core.Baseline(0)}, cfgs...)...)
 	out := TopologyResult{

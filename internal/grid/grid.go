@@ -47,10 +47,8 @@ func Config(name string, cores int) (core.SystemConfig, error) {
 		cfg.Placement = core.PlaceRandom
 		cfg.Name = "RL-random"
 		return cfg, nil
-	case "hmc":
+	case "hmc", "hmc-mix":
 		return core.HMCHetero(cores), nil
-	case "hmc-mix":
-		return core.HMCMix(cores), nil
 	case "dram-cache":
 		return core.DRAMCached(cores), nil
 	default:
@@ -106,18 +104,14 @@ func ParseTopology(s string) (topology.Spec, error) {
 }
 
 // ApplyTopology overrides cfg's memory organization with an explicit
-// topology spec, clearing the legacy organization fields it subsumes
-// and folding the canonical spec into cfg.Name so rows and cache index
-// entries stay self-describing.
+// topology spec, folding the canonical spec into cfg.Name so rows and
+// cache index entries stay self-describing.
 func ApplyTopology(cfg *core.SystemConfig, s string) error {
 	spec, err := ParseTopology(s)
 	if err != nil {
 		return err
 	}
-	cfg.Split, cfg.CritKind, cfg.LineKind = false, 0, 0
-	cfg.PrivateCritCmdBus, cfg.WideCritRank = false, false
-	cfg.PagePlacement, cfg.HotPages = false, nil
-	cfg.Topology = &spec
+	cfg.Topology = spec
 	cfg.Name = fmt.Sprintf("%s[topology=%s]", cfg.Name, spec.Canonical())
 	return nil
 }

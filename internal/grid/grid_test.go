@@ -97,19 +97,18 @@ func TestTopologyNamesAllResolve(t *testing.T) {
 			t.Fatalf("ParseTopology(%q) not case-insensitive", name)
 		}
 	}
-	// The named CWF organizations must match the boolean presets they
-	// stand for, so a -topology run shares cache entries with the named
-	// config's runs.
+	// The named organizations must match the presets they stand for, so
+	// a -topology run shares cache entries with the named config's runs.
 	for name, mk := range map[string]func(int) core.SystemConfig{
 		"cwf-rl": core.RL, "cwf-rd": core.RD, "cwf-dl": core.DL,
-		"unified-ddr3": core.Baseline, "hmc-mix": core.HMCMix,
+		"unified-ddr3": core.Baseline, "hmc-mix": core.HMCHetero,
+		"dram-cache": core.DRAMCached,
 	} {
 		spec, err := ParseTopology(name)
 		if err != nil {
 			t.Fatalf("ParseTopology(%q): %v", name, err)
 		}
-		want, _ := mk(8).EffectiveTopology()
-		if spec.Canonical() != want.Canonical() {
+		if want := mk(8).Topology; spec.Canonical() != want.Canonical() {
 			t.Errorf("topology %q = %s, preset has %s", name, spec.Canonical(), want.Canonical())
 		}
 	}
@@ -136,8 +135,8 @@ func TestApplyTopology(t *testing.T) {
 	if err := ApplyTopology(&cfg, "dram-cache"); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Topology == nil || cfg.Split || cfg.PrivateCritCmdBus || cfg.WideCritRank {
-		t.Fatalf("legacy organization fields not cleared: %+v", cfg)
+	if got := cfg.Topology.Canonical(); got != "cache-tier:rldram3x1:cap=64+far-tier:lpddr2x4" {
+		t.Fatalf("topology = %s", got)
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("applied config invalid: %v", err)

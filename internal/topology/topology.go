@@ -8,8 +8,9 @@
 // topology is simultaneously a CLI value, a validated build plan for
 // core.NewSystem, and a canonical cache-key component. The package is
 // purely structural — it knows which shapes are expressible (unified,
-// crit/line split, cache-tier/far-tier), not which device kinds a given
-// role supports; that policy lives with the system builder.
+// crit/line split, cache-tier/far-tier, hot-tier/far-tier), not which
+// device kinds a given role supports; that policy lives with the system
+// builder.
 package topology
 
 import (
@@ -27,13 +28,16 @@ type Role int
 // The modelled roles. Unified is a homogeneous main memory; Crit/Line
 // form the paper's critical-word-first split (§4.2); CacheTier/FarTier
 // form a DRAM-cache organization (a fast tier probed first, fronting a
-// slow far memory).
+// slow far memory); HotTier/FarTier form the §7.1 page-placement
+// comparison (profiled hot pages on a fast full-line tier, every other
+// page on the far tier).
 const (
 	RoleUnified Role = iota
 	RoleCrit
 	RoleLine
 	RoleCacheTier
 	RoleFarTier
+	RoleHotTier
 )
 
 var roleTokens = [...]string{
@@ -42,6 +46,7 @@ var roleTokens = [...]string{
 	RoleLine:      "line",
 	RoleCacheTier: "cache-tier",
 	RoleFarTier:   "far-tier",
+	RoleHotTier:   "hot-tier",
 }
 
 // String returns the role token used in topology strings.
@@ -59,7 +64,7 @@ func parseRole(s string) (Role, error) {
 			return Role(r), nil
 		}
 	}
-	return 0, fmt.Errorf("topology: unknown role %q (crit|line|unified|cache-tier|far-tier)", s)
+	return 0, fmt.Errorf("topology: unknown role %q (crit|line|unified|cache-tier|far-tier|hot-tier)", s)
 }
 
 // BusWiring selects how a group's channels share command wiring. Only
@@ -113,6 +118,7 @@ const (
 	ShapeUnified Shape = iota // one unified group
 	ShapeCWF                  // crit + line (the paper's split)
 	ShapeCache                // cache-tier + far-tier
+	ShapePage                 // hot-tier + far-tier (§7.1 page placement)
 )
 
 // Shape classifies a validated spec. Calling it on an invalid spec
@@ -123,6 +129,9 @@ func (s Spec) Shape() Shape {
 	}
 	if _, ok := s.Group(RoleCacheTier); ok {
 		return ShapeCache
+	}
+	if _, ok := s.Group(RoleHotTier); ok {
+		return ShapePage
 	}
 	return ShapeUnified
 }
@@ -137,8 +146,8 @@ func (s Spec) Group(r Role) (ChannelGroup, bool) {
 	return ChannelGroup{}, false
 }
 
-// roleRank orders groups canonically: crit before line, cache before
-// far, unified alone.
+// roleRank orders groups canonically: crit before line, cache or hot
+// before far, unified alone.
 func roleRank(r Role) int {
 	switch r {
 	case RoleCrit:
@@ -147,7 +156,7 @@ func roleRank(r Role) int {
 		return 1
 	case RoleUnified:
 		return 2
-	case RoleCacheTier:
+	case RoleCacheTier, RoleHotTier:
 		return 3
 	default: // RoleFarTier
 		return 4
@@ -207,7 +216,7 @@ func (s Spec) Validate() error {
 			}
 		}
 	}
-	// Shape: exactly one of the three known organizations.
+	// Shape: exactly one of the four known organizations.
 	switch {
 	case seen[RoleUnified]:
 		if len(s.Groups) != 1 {
@@ -222,6 +231,10 @@ func (s Spec) Validate() error {
 		if crit.Count > line.Count || line.Count%crit.Count != 0 {
 			return fmt.Errorf("topology: %d crit channels cannot interleave %d line channels (need a divisor)",
 				crit.Count, line.Count)
+		}
+	case seen[RoleHotTier]:
+		if !seen[RoleFarTier] || len(s.Groups) != 2 {
+			return fmt.Errorf("topology: a page-placed organization is exactly hot-tier + far-tier")
 		}
 	case seen[RoleCacheTier] || seen[RoleFarTier]:
 		if !seen[RoleCacheTier] || !seen[RoleFarTier] || len(s.Groups) != 2 {
@@ -355,6 +368,16 @@ func CWF(critKind dram.Kind, critN int, lineKind dram.Kind, lineN int, bus BusWi
 	return Spec{Groups: []ChannelGroup{
 		{Kind: critKind, Count: critN, Role: RoleCrit, Bus: bus, Wide: wide},
 		{Kind: lineKind, Count: lineN, Role: RoleLine},
+	}}.Normalized()
+}
+
+// PagePlaced builds the §7.1 page-placement organization: hotN
+// full-line channels of hotKind holding the profiled hot pages, in front
+// of farN channels of farKind holding the rest.
+func PagePlaced(hotKind dram.Kind, hotN int, farKind dram.Kind, farN int) Spec {
+	return Spec{Groups: []ChannelGroup{
+		{Kind: hotKind, Count: hotN, Role: RoleHotTier},
+		{Kind: farKind, Count: farN, Role: RoleFarTier},
 	}}.Normalized()
 }
 

@@ -19,6 +19,7 @@ func TestParseStringRoundTrip(t *testing.T) {
 		"crit:rldram3x2+line:ddr3x8",
 		"cache-tier:rldram3x1:cap=64+far-tier:lpddr2x4",
 		"cache-tier:rldram3x2:cap=128+far-tier:ddr3x4",
+		"hot-tier:rldram3x1+far-tier:lpddr2x3",
 	}
 	for _, text := range cases {
 		spec, err := Parse(text)
@@ -49,6 +50,7 @@ func TestCanonicalNormalizes(t *testing.T) {
 		"crit:rldram3x4:shared+line:lpddr2x4":           "crit:rldram3x4+line:lpddr2x4",
 		"line:lpddr2x4:private+crit:rldram3x4":          "crit:rldram3x4+line:lpddr2x4",
 		"far-tier:lpddr2x4+cache-tier:rldram3x1:cap=64": "cache-tier:rldram3x1:cap=64+far-tier:lpddr2x4",
+		"far-tier:lpddr2x3+hot-tier:rldram3x1":          "hot-tier:rldram3x1+far-tier:lpddr2x3",
 		"CRIT:RLDRAM3x4+Line:LPDDR2x4":                  "crit:rldram3x4+line:lpddr2x4",
 	} {
 		spec, err := Parse(in)
@@ -71,28 +73,35 @@ func TestParseRejects(t *testing.T) {
 		"unified:ddr3x9":  "count must be 1..8",
 		"unified:ddr3x-1": "count must be 1..8",
 		"unified:ddr3x99999999999999999999999999": "bad count",
-		"unified:ddr3":                                    "kindxCOUNT",
-		"unified:x4":                                      "kindxCOUNT",
-		"ddr3x4":                                          "want role:kindxCOUNT",
-		"unified:ddr5x4":                                  "unknown device kind",
-		"warp:ddr3x4":                                     "unknown role",
-		"unified:ddr3x4+unified:ddr3x4":                   "duplicate role",
-		"crit:rldram3x4+crit:ddr3x4":                      "duplicate role",
-		"unified:ddr3x4+line:lpddr2x4":                    "unified cannot combine",
-		"crit:rldram3x4+far-tier:lpddr2x4":                "exactly crit + line",
-		"cache-tier:rldram3x1:cap=64":                     "exactly cache-tier + far-tier",
-		"crit:rldram3x3+line:lpddr2x4":                    "divisor",
-		"crit:rldram3x8+line:lpddr2x4":                    "divisor",
-		"crit:rldram3x4:wide+line:lpddr2x4":               "single channel",
-		"line:lpddr2x4:wide+crit:rldram3x1":               "crit-only",
-		"crit:rldram3x4:shared:private+line:lpddr2x4":     "conflicting bus",
-		"crit:rldram3x4+line:lpddr2x4:shared":             "only the crit command bus",
-		"crit:rldram3x4:cap=64+line:lpddr2x4":             "cache-tier attribute",
-		"cache-tier:rldram3x1+far-tier:lpddr2x4":          "requires cap=",
-		"cache-tier:rldram3x1:cap=0+far-tier:lpddr2x4":    "requires cap=",
-		"cache-tier:rldram3x1:cap=9999+far-tier:lpddr2x4": "out of range",
-		"cache-tier:rldram3x1:cap=oops+far-tier:lpddr2x4": "bad capacity",
-		"unified:ddr3x4:sparkly":                          "unknown attribute",
+		"unified:ddr3":                                                     "kindxCOUNT",
+		"unified:x4":                                                       "kindxCOUNT",
+		"ddr3x4":                                                           "want role:kindxCOUNT",
+		"unified:ddr5x4":                                                   "unknown device kind",
+		"warp:ddr3x4":                                                      "unknown role",
+		"unified:ddr3x4+unified:ddr3x4":                                    "duplicate role",
+		"crit:rldram3x4+crit:ddr3x4":                                       "duplicate role",
+		"unified:ddr3x4+line:lpddr2x4":                                     "unified cannot combine",
+		"crit:rldram3x4+far-tier:lpddr2x4":                                 "exactly crit + line",
+		"cache-tier:rldram3x1:cap=64":                                      "exactly cache-tier + far-tier",
+		"crit:rldram3x3+line:lpddr2x4":                                     "divisor",
+		"crit:rldram3x8+line:lpddr2x4":                                     "divisor",
+		"crit:rldram3x4:wide+line:lpddr2x4":                                "single channel",
+		"line:lpddr2x4:wide+crit:rldram3x1":                                "crit-only",
+		"crit:rldram3x4:shared:private+line:lpddr2x4":                      "conflicting bus",
+		"crit:rldram3x4+line:lpddr2x4:shared":                              "only the crit command bus",
+		"crit:rldram3x4:cap=64+line:lpddr2x4":                              "cache-tier attribute",
+		"cache-tier:rldram3x1+far-tier:lpddr2x4":                           "requires cap=",
+		"cache-tier:rldram3x1:cap=0+far-tier:lpddr2x4":                     "requires cap=",
+		"cache-tier:rldram3x1:cap=9999+far-tier:lpddr2x4":                  "out of range",
+		"cache-tier:rldram3x1:cap=oops+far-tier:lpddr2x4":                  "bad capacity",
+		"unified:ddr3x4:sparkly":                                           "unknown attribute",
+		"hot-tier:rldram3x1":                                               "exactly hot-tier + far-tier",
+		"hot-tier:rldram3x1+cache-tier:rldram3x1:cap=64":                   "exactly hot-tier + far-tier",
+		"hot-tier:rldram3x1+crit:rldram3x1":                                "exactly crit + line",
+		"hot-tier:rldram3x1+line:lpddr2x3":                                 "exactly crit + line",
+		"hot-tier:rldram3x1:cap=64+far-tier:lpddr2x3":                      "cache-tier attribute",
+		"hot-tier:rldram3x1:wide+far-tier:lpddr2x3":                        "crit-only",
+		"hot-tier:rldram3x1+far-tier:lpddr2x3+cache-tier:rldram3x1:cap=64": "exactly hot-tier + far-tier",
 	}
 	for in, wantSub := range cases {
 		_, err := Parse(in)
@@ -127,6 +136,13 @@ func TestShapeAndGroup(t *testing.T) {
 	if _, ok := dc.Group(RoleCrit); ok {
 		t.Error("DRAMCache reports a crit group")
 	}
+	pp := PagePlaced(dram.RLDRAM3, 1, dram.LPDDR2, 3)
+	if pp.Shape() != ShapePage {
+		t.Errorf("PagePlaced shape = %v", pp.Shape())
+	}
+	if err := pp.Validate(); err != nil {
+		t.Errorf("PagePlaced: %v", err)
+	}
 }
 
 func TestBuildersCanonical(t *testing.T) {
@@ -137,6 +153,7 @@ func TestBuildersCanonical(t *testing.T) {
 		CWF(dram.RLDRAM3, 1, dram.LPDDR2, 4, BusDefault, true).String():  "crit:rldram3x1:wide+line:lpddr2x4",
 		CWF(dram.HMCFast, 4, dram.HMCLP, 4, BusDefault, false).String():  "crit:hmc-fastx4+line:hmc-lpx4",
 		DRAMCache(dram.RLDRAM3, 1, 64, dram.LPDDR2, 4).String():          "cache-tier:rldram3x1:cap=64+far-tier:lpddr2x4",
+		PagePlaced(dram.RLDRAM3, 1, dram.LPDDR2, 3).String():             "hot-tier:rldram3x1+far-tier:lpddr2x3",
 	} {
 		if spec != want {
 			t.Errorf("builder produced %q, want %q", spec, want)
@@ -153,6 +170,7 @@ func FuzzTopologyParse(f *testing.F) {
 		"crit:rldram3x1:wide+line:lpddr2x4",
 		"crit:hmc-fastx4+line:hmc-lpx4",
 		"cache-tier:rldram3x1:cap=64+far-tier:lpddr2x4",
+		"hot-tier:rldram3x1+far-tier:lpddr2x3",
 		"crit:rldram3x4:shared:private",
 		"line:lpddr2x4+crit:rldram3x4",
 		"unified:ddr3x999999999999999999",
