@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race hetbench fuzz faults topologies bench bench-json bench-controller bench-telemetry bench-store sweepd chaos profile verify
+.PHONY: build vet test race hetbench fuzz faults topologies bench sweepd chaos profile verify
 
 build:
 	$(GO) build ./...
@@ -53,40 +53,12 @@ faults:
 	$(GO) run ./cmd/experiments -only faults -scale test \
 		-benchmarks libquantum,mcf,lbm -j 0
 
+# The root benchmarks (one per paper table/figure, plus simulator speed)
+# for local use. Wall time is not a gate here: speed claims go through
+# cmd/hetbench -compare, and exact work counters are pinned by the work
+# section of internal/core/testdata/organizations.golden.
 bench:
 	$(GO) test -bench=. -benchmem
-
-# Kernel benchmark baseline as committed JSON (see DESIGN.md
-# "Performance"). Regenerate after kernel changes and commit the diff.
-bench-json:
-	{ $(GO) test -bench 'BenchmarkKernel' -benchmem -run '^$$' ./internal/sim/ && \
-	  $(GO) test -bench 'BenchmarkController' -benchmem -run '^$$' ./internal/memctrl/ && \
-	  $(GO) test -bench 'BenchmarkHierarchyReadPath' -benchmem -run '^$$' ./internal/core/ && \
-	  $(GO) test -bench 'BenchmarkSimulatorSpeed' -benchmem -benchtime 5x -run '^$$' . ; } \
-	| $(GO) run ./cmd/benchjson > BENCH_kernel.json
-
-# Controller scheduling baseline as committed JSON (see DESIGN.md
-# "Controller scheduling performance"): the controller microbenchmark
-# family plus end-to-end simulator speed. Regenerate after controller,
-# DRAM-timing, or drive-loop changes and commit the diff.
-bench-controller:
-	{ $(GO) test -bench 'BenchmarkController' -benchmem -run '^$$' ./internal/memctrl/ && \
-	  $(GO) test -bench 'BenchmarkSimulatorSpeed' -benchmem -benchtime 5x -run '^$$' . ; } \
-	| $(GO) run ./cmd/benchjson > BENCH_controller.json
-
-# Telemetry overhead baseline as committed JSON: the same run with the
-# epoch sampler off and at two intervals. The on-vs-off ns/op ratio is
-# the sampling cost; budget < 3% at the default 10k-cycle interval.
-bench-telemetry:
-	$(GO) test -bench 'BenchmarkTelemetry' -benchmem -benchtime 20x -run '^$$' . \
-		| $(GO) run ./cmd/benchjson > BENCH_telemetry.json
-
-# Durable run-cache baseline as committed JSON (see DESIGN.md "Durable
-# run cache"): key hashing, entry encode/write, and verified-hit read.
-# Regenerate after store or codec changes and commit the diff.
-bench-store:
-	$(GO) test -bench 'BenchmarkStore' -benchmem -run '^$$' ./internal/store/ \
-		| $(GO) run ./cmd/benchjson > BENCH_store.json
 
 # Robustness smoke: the lease protocol, the chaos-store convergence
 # suite, the crash-simulation store tests, and the multi-worker /

@@ -316,7 +316,9 @@ func BenchmarkFutureHMC(b *testing.B) {
 // BenchmarkTelemetry measures the cost of the epoch sampler against
 // the same run with telemetry off: the "off" and "on" sub-benchmarks
 // differ only in Scale.EpochInterval, so the ns/op ratio is the
-// sampling overhead (recorded in BENCH_telemetry.json; budget < 3%).
+// sampling overhead (budget < 3%). System construction stays outside
+// the timed region, as in BenchmarkSimulatorSpeed. That sampling adds
+// no events is checked exactly by core's TestTelemetryOnOffIdentical.
 func BenchmarkTelemetry(b *testing.B) {
 	if testing.Short() {
 		b.Skip("full-system benchmark; skipped in -short mode")
@@ -324,6 +326,8 @@ func BenchmarkTelemetry(b *testing.B) {
 	run := func(b *testing.B, interval int64) {
 		b.ReportAllocs()
 		var reads, epochs uint64
+		b.StopTimer()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sys, err := hetsim.NewSystem(hetsim.RL(8), "libquantum")
 			if err != nil {
@@ -331,7 +335,9 @@ func BenchmarkTelemetry(b *testing.B) {
 			}
 			scale := hetsim.Scale{WarmupReads: 500, MeasureReads: 5000, MaxCycles: 50_000_000}
 			scale.EpochInterval = sim.Cycle(interval)
+			b.StartTimer()
 			res := sys.Run(scale)
+			b.StopTimer()
 			reads += res.DemandReads
 			if res.Epochs != nil {
 				epochs += uint64(res.Epochs.NumRows())
@@ -348,18 +354,17 @@ func BenchmarkTelemetry(b *testing.B) {
 // BenchmarkSimulatorSpeed measures raw simulation throughput for
 // profiling the simulator itself: reads/sec is the headline metric, and
 // -benchmem (implied via ReportAllocs) tracks the kernel's allocation
-// behaviour. See DESIGN.md "Performance" for recorded baselines.
-// In -short mode it runs a QuickScale-sized smoke instead of skipping,
-// so CI can execute one iteration cheaply and catch harness rot; the
-// recorded baselines come from full-mode runs only.
+// behaviour. In -short mode it runs a QuickScale-sized smoke instead of
+// skipping, so CI can execute one iteration cheaply and catch harness
+// rot. Speed claims go through cmd/hetbench -compare instead.
 func BenchmarkSimulatorSpeed(b *testing.B) {
 	b.ReportAllocs()
 	var reads uint64
 	// Each iteration needs a fresh system (Run consumes it), but
 	// construction is one-time setup cost, not steady-state simulation:
 	// keep it outside the timed region so ns/op and B/op track the run
-	// itself (see BENCH_kernel.json history — construction used to
-	// dominate B/op at ~2.4MB/op of one-shot allocation).
+	// itself (construction used to dominate B/op at ~2.4MB/op of
+	// one-shot allocation).
 	b.StopTimer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,20 +10,27 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"hetsim/internal/dram"
 	"hetsim/internal/faults"
+	"hetsim/internal/telemetry"
 	"hetsim/internal/topology"
 	"hetsim/internal/trace"
 )
 
-// orgGoldenPath holds the organization golden file: one SHA-256 per
-// organization case (TestSystemTopologyDifferential) and one
-// store.RunKey hash per named grid config (TestRunKeyHashGolden). Each
-// line is "<section> <name> <hex>"; each test owns one section.
+// orgGoldenPath holds the organization golden file. Each line is
+// "<section> <name> <value>":
+//   - org: one SHA-256 per organization case over its simulated
+//     behaviour (TestSystemTopologyDifferential);
+//   - work: that case's exact work counters, host events included, as
+//     integers (TestSystemTopologyDifferential);
+//   - runkey: one store.RunKey hash per named grid config
+//     (TestRunKeyHashGolden).
 const orgGoldenPath = "testdata/organizations.golden"
 
 // readGoldenSection returns the section's entries and, separately, the
@@ -58,18 +65,18 @@ func readGoldenSection(t *testing.T, section string) (map[string]string, []strin
 	return want, other
 }
 
-// goldenSection returns the section's golden entries (name → hex
-// digest). Under -update it returns an empty map and, when the test
-// ends, rewrites the section from got, leaving every other section's
-// lines untouched.
+// goldenSection returns the section's golden entries (name → value).
+// Under -update it returns an empty map and, when the test ends,
+// rewrites the section from got, leaving every other section's lines
+// as the file holds them then.
 func goldenSection(t *testing.T, section string, got map[string]string) map[string]string {
 	t.Helper()
-	want, other := readGoldenSection(t, section)
 	if !*updateGolden {
+		want, _ := readGoldenSection(t, section)
 		return want
 	}
 	t.Cleanup(func() {
-		lines := other
+		_, lines := readGoldenSection(t, section)
 		for n, h := range got {
 			lines = append(lines, fmt.Sprintf("%s %s %s", section, n, h))
 		}
@@ -82,8 +89,8 @@ func goldenSection(t *testing.T, section string, got map[string]string) map[stri
 	return map[string]string{}
 }
 
-// checkDigest compares one digest against its golden entry; under
-// -update every digest is accepted.
+// checkDigest compares one digest or counter against its golden entry;
+// under -update every value is accepted.
 func checkDigest(t *testing.T, want map[string]string, name, got string) {
 	t.Helper()
 	if *updateGolden {
@@ -93,7 +100,7 @@ func checkDigest(t *testing.T, want map[string]string, name, got string) {
 	case !ok:
 		t.Errorf("%s: no golden entry (run with -update to add it)", name)
 	case w != got:
-		t.Errorf("%s: digest %s, golden %s", name, got, w)
+		t.Errorf("%s = %s, golden %s", name, got, w)
 	}
 }
 
@@ -140,10 +147,11 @@ func appendBits(b []byte, v reflect.Value) []byte {
 	}
 }
 
-// runDigest runs one config/benchmark and digests everything
-// observable: the summary Results (every field), the full fill trace,
-// and the serialized epoch stream.
-func runDigest(t *testing.T, cfg SystemConfig, bench string) string {
+// runDigest runs one config/benchmark and digests its simulated
+// behaviour: the summary Results (every field), the full fill trace,
+// and the serialized epoch stream without its host-work column. It also
+// returns the run's work counters.
+func runDigest(t *testing.T, cfg SystemConfig, bench string) (string, map[string]uint64) {
 	t.Helper()
 	var recs []trace.Record
 	cfg.TraceFn = func(r trace.Record) { recs = append(recs, r) }
@@ -163,9 +171,46 @@ func runDigest(t *testing.T, cfg SystemConfig, bench string) string {
 	res.Epochs = nil // digested via the serialized stream
 	b := appendBits(nil, reflect.ValueOf(res))
 	b = appendBits(b, reflect.ValueOf(recs))
-	b = append(b, epochs.Bytes()...)
+	b = append(b, stripHostWork(epochs.Bytes())...)
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return hex.EncodeToString(sum[:]), workCounters(sys)
+}
+
+// simEventsCol is the sim.events column of an epoch JSONL row.
+var simEventsCol = regexp.MustCompile(`"sim\.events":[0-9]+,`)
+
+// stripHostWork drops the sim.events column from a serialized epoch
+// stream. sim.events counts the events the engine dispatched: the
+// simulator's own work, not the simulated machine's. Removing events
+// (tick skipping, say) must leave behaviour byte-identical, so the
+// behaviour comparisons exclude it and the work section pins it
+// exactly instead.
+func stripHostWork(jsonl []byte) []byte { return simEventsCol.ReplaceAll(jsonl, nil) }
+
+// workCounters reads a finished run's exact work counters from the
+// registry's whole-run levels: engine events, demand fills, MSHR
+// merges, DRAM commands (acts, reads, writes and refreshes over every
+// channel group), and controller row misses and write drains.
+func workCounters(sys *System) map[string]uint64 {
+	snap := sys.Reg.Snapshot(sys.Eng.Now())
+	v := telemetry.NewView(sys.Reg, snap, snap)
+	w := map[string]uint64{}
+	for _, name := range sys.Reg.Names() {
+		n := uint64(v.Level(name))
+		last := name[strings.LastIndexByte(name, '.')+1:]
+		switch {
+		case name == "sim.events", name == "hier.demand_fills", name == "hier.merged_misses":
+			w[name] = n
+		case strings.HasPrefix(name, "mem.g"):
+			switch last {
+			case "acts", "reads", "writes", "refreshes":
+				w["dram.cmds"] += n
+			case "row_misses", "drains":
+				w["memctrl."+last] += n
+			}
+		}
+	}
+	return w
 }
 
 // goldenHotPages is a fixed hot-page set for the page-placement case:
@@ -185,6 +230,11 @@ func goldenHotPages() map[uint64]bool {
 // organizations with dedicated config booleans, before those fields
 // were folded into topology presets, so every preset is checked
 // against the bytes of the code it replaced.
+//
+// The same runs pin each case's work counters in the work section.
+// They repeat bit for bit, so any change fails: a change that removes
+// engine events shows up as a diff of the work lines alone, with every
+// org digest unchanged.
 func TestSystemTopologyDifferential(t *testing.T) {
 	privBus := RL(2)
 	privBus.Topology = topology.CWF(dram.RLDRAM3, Channels, dram.LPDDR2, Channels, topology.BusPrivate, false)
@@ -231,12 +281,19 @@ func TestSystemTopologyDifferential(t *testing.T) {
 		{"page-placed", PagePlaced(2, goldenHotPages()), "libquantum"},
 		{"dram-cache", DRAMCached(2), "mcf"},
 	}
-	got := map[string]string{}
+	got, gotWork := map[string]string{}, map[string]string{}
 	want := goldenSection(t, "org", got)
+	wantWork := goldenSection(t, "work", gotWork)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got[tc.name] = runDigest(t, tc.cfg, tc.bench)
-			checkDigest(t, want, tc.name, got[tc.name])
+			digest, work := runDigest(t, tc.cfg, tc.bench)
+			got[tc.name] = digest
+			checkDigest(t, want, tc.name, digest)
+			for n, v := range work {
+				key := tc.name + "/" + n
+				gotWork[key] = strconv.FormatUint(v, 10)
+				checkDigest(t, wantWork, key, gotWork[key])
+			}
 		})
 	}
 }

@@ -55,11 +55,17 @@ func (s *stubBackend) IssueFill(e *cache.Entry) bool {
 		return false
 	}
 	s.fills = append(s.fills, stubFill{e.LineAddr, e.Prefetch})
-	s.eng.Schedule(s.critDelay, func() { s.sink.onCrit(e) })
-	s.eng.Schedule(s.lineDelay-4, func() { s.sink.onReqWord(e) })
-	s.eng.Schedule(s.lineDelay, func() { s.sink.onLine(e) })
+	s.eng.ScheduleEvent(s.critDelay, call(func() { s.sink.onCrit(e) }), nil)
+	s.eng.ScheduleEvent(s.lineDelay-4, call(func() { s.sink.onReqWord(e) }), nil)
+	s.eng.ScheduleEvent(s.lineDelay, call(func() { s.sink.onLine(e) }), nil)
 	return true
 }
+
+// call adapts a closure to sim.EventHandler so the stub can schedule
+// inline bodies.
+type call func()
+
+func (f call) OnEvent(any) { f() }
 
 func newTestHierarchy(t *testing.T, cfg SystemConfig) (*sim.Engine, *Hierarchy, *stubBackend) {
 	t.Helper()

@@ -676,8 +676,8 @@ func (s *System) deadlockReport(now sim.Cycle) string {
 	}
 	return fmt.Sprintf(
 		"core: deadlock at cycle %d: all cores blocked with no pending events "+
-			"(events queued=%d, mshr=%d/%d, outstanding load misses=%d, wb queue=%d, degraded=%v)",
-		now, s.Eng.Len(), s.Hier.MSHROccupancy(), MSHRCapacity, waiting,
+			"(mshr=%d/%d, outstanding load misses=%d, wb queue=%d, degraded=%v)",
+		now, s.Hier.MSHROccupancy(), MSHRCapacity, waiting,
 		len(s.Hier.wbQueue), s.Hier.degraded)
 }
 

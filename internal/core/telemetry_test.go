@@ -14,8 +14,9 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden telemetry files")
 
-// runEpochs runs one system with the epoch sampler armed.
-func runEpochs(t *testing.T, cfg SystemConfig, bench string, interval sim.Cycle) Results {
+// runEpochs runs one system with the epoch sampler armed (interval 0:
+// off) and reports the results and the events the engine dispatched.
+func runEpochs(t *testing.T, cfg SystemConfig, bench string, interval sim.Cycle) (Results, uint64) {
 	t.Helper()
 	sys, err := NewSystem(cfg, mustSpec(t, bench))
 	if err != nil {
@@ -23,14 +24,15 @@ func runEpochs(t *testing.T, cfg SystemConfig, bench string, interval sim.Cycle)
 	}
 	scale := quickScale()
 	scale.EpochInterval = interval
-	return sys.Run(scale)
+	res := sys.Run(scale)
+	return res, sys.Eng.EventsFired()
 }
 
 // TestTelemetryOnOffIdentical is the refactor's core invariant: arming
 // the epoch sampler must not perturb a single summary metric — the
 // registry probes read component-owned counters and the sampler ticks
 // at the engine's time-advance point, adding no events and no loop
-// iterations.
+// iterations. The event count is checked exactly, at two intervals.
 func TestTelemetryOnOffIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		cfg   SystemConfig
@@ -39,15 +41,21 @@ func TestTelemetryOnOffIdentical(t *testing.T) {
 		{Baseline(4), "libquantum"},
 		{RL(4), "mcf"},
 	} {
-		off := runOne(t, tc.cfg, tc.bench)
-		on := runEpochs(t, tc.cfg, tc.bench, 10_000)
-		if on.Epochs == nil || on.Epochs.NumRows() == 0 {
-			t.Fatalf("%s/%s: sampler armed but no epochs recorded", tc.cfg.Name, tc.bench)
-		}
-		on.Epochs = nil
-		if !reflect.DeepEqual(off, on) {
-			t.Errorf("%s/%s: telemetry-on results diverged from telemetry-off:\n off %+v\n on  %+v",
-				tc.cfg.Name, tc.bench, off, on)
+		off, offEvents := runEpochs(t, tc.cfg, tc.bench, 0)
+		for _, interval := range []sim.Cycle{10_000, 1_000} {
+			on, onEvents := runEpochs(t, tc.cfg, tc.bench, interval)
+			if on.Epochs == nil || on.Epochs.NumRows() == 0 {
+				t.Fatalf("%s/%s: sampler armed but no epochs recorded", tc.cfg.Name, tc.bench)
+			}
+			on.Epochs = nil
+			if !reflect.DeepEqual(off, on) {
+				t.Errorf("%s/%s: sampling every %d cycles diverged from telemetry-off:\n off %+v\n on  %+v",
+					tc.cfg.Name, tc.bench, interval, off, on)
+			}
+			if onEvents != offEvents {
+				t.Errorf("%s/%s: sampling every %d cycles dispatched %d events, %d with telemetry off",
+					tc.cfg.Name, tc.bench, interval, onEvents, offEvents)
+			}
 		}
 	}
 }
@@ -57,7 +65,7 @@ func TestTelemetryOnOffIdentical(t *testing.T) {
 // row matches the column signature, and the headline columns exist.
 func TestEpochSeriesShape(t *testing.T) {
 	const interval = 5_000
-	res := runEpochs(t, RL(4), "libquantum", interval)
+	res, _ := runEpochs(t, RL(4), "libquantum", interval)
 	s := res.Epochs
 	if s == nil || s.NumRows() < 2 {
 		t.Fatalf("want >= 2 epochs, got %+v", s)
@@ -169,9 +177,11 @@ func abs(v float64) float64 {
 }
 
 // TestEpochJSONLGolden pins the exact JSONL epoch stream of a
-// fixed-seed run. The simulator is deterministic and the writers use
-// locale-free shortest-float formatting, so the bytes are stable; run
-// with -update after an intentional metric change.
+// fixed-seed run, less the host-work sim.events column (pinned by the
+// work section of the organization golden file instead). The simulator
+// is deterministic and the writers use locale-free shortest-float
+// formatting, so the bytes are stable; run with -update after an
+// intentional metric change.
 func TestEpochJSONLGolden(t *testing.T) {
 	cfg := RL(2)
 	cfg.Seed = 7
@@ -188,21 +198,22 @@ func TestEpochJSONLGolden(t *testing.T) {
 	if err := res.Epochs.WriteJSONL(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
+	got := stripHostWork(buf.Bytes())
 
 	golden := filepath.Join("testdata", "epochs_rl_libquantum.jsonl")
 	if *updateGolden {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes, %d epochs)", golden, buf.Len(), res.Epochs.NumRows())
+		t.Logf("rewrote %s (%d bytes, %d epochs)", golden, len(got), res.Epochs.NumRows())
 		return
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
+	if !bytes.Equal(got, want) {
 		t.Errorf("epoch JSONL stream diverged from %s (%d vs %d bytes); run with -update if intentional",
-			golden, buf.Len(), len(want))
+			golden, len(got), len(want))
 	}
 }

@@ -109,6 +109,12 @@ func TestRowHitSecondRead(t *testing.T) {
 	}
 }
 
+// call adapts a closure to sim.EventHandler so tests can schedule
+// inline bodies.
+type call func()
+
+func (f call) OnEvent(any) { f() }
+
 func TestRLDRAMFasterThanDDR3UnderLoad(t *testing.T) {
 	run := func(kind dram.Kind) float64 {
 		eng, c := newCtrl(kind)
@@ -122,7 +128,7 @@ func TestRLDRAMFasterThanDDR3UnderLoad(t *testing.T) {
 			remaining--
 			addr := rng.Uint64() % (1 << 20)
 			c.EnqueueRead(&Request{Addr: addr})
-			eng.Schedule(20, issue) // heavy arrival rate
+			eng.ScheduleEvent(20, call(issue), nil) // heavy arrival rate
 		}
 		issue()
 		eng.RunUntil(10_000_000)
@@ -194,7 +200,7 @@ func TestPrefetchDeprioritized(t *testing.T) {
 	pf := &Request{Addr: 2, Prefetch: true, OnComplete: func(r *Request) { prefEnd = r.DataEnd }}
 	dm := &Request{Addr: 0, OnComplete: func(r *Request) { demandEnd = r.DataEnd }}
 	c.EnqueueRead(pf)
-	eng.Schedule(1, func() { c.EnqueueRead(dm) })
+	eng.ScheduleEvent(1, call(func() { c.EnqueueRead(dm) }), nil)
 	eng.RunUntil(5_000_000)
 	if demandEnd == 0 || prefEnd == 0 {
 		t.Fatal("requests incomplete")
@@ -220,7 +226,7 @@ func TestPrefetchAgePromotion(t *testing.T) {
 		}
 		n++
 		c.EnqueueRead(&Request{Addr: uint64(n)})
-		eng.Schedule(30, feed)
+		eng.ScheduleEvent(30, call(feed), nil)
 	}
 	feed()
 	eng.RunUntil(5_000_000)
@@ -271,9 +277,9 @@ func TestIdleLPDDR2Sleeps(t *testing.T) {
 	}
 	// A new read must wake the rank and pay the exit latency.
 	var end2 *Request
-	eng.Schedule(0, func() {
+	eng.ScheduleEvent(0, call(func() {
 		c.EnqueueRead(&Request{Addr: 1 << 16, OnComplete: func(r *Request) { end2 = r }})
-	})
+	}), nil)
 	start := eng.Now()
 	eng.RunUntil(start + 200_000)
 	if end2 == nil {
@@ -323,12 +329,12 @@ func TestAllReadsCompleteProperty(t *testing.T) {
 				}
 			}}
 			delay := sim.Cycle(i * 3)
-			eng.Schedule(delay, func() {
+			eng.ScheduleEvent(delay, call(func() {
 				for !c.EnqueueRead(r) {
 					// queue full cannot happen with <=40 requests
 					return
 				}
-			})
+			}), nil)
 		}
 		eng.RunUntil(50_000_000)
 		return ok && completed == len(addrs)

@@ -89,7 +89,7 @@ func runDiffSide(t *testing.T, dcfg dram.Config, ranks int, ccfg Config, stim []
 	onComplete := func(*Request) {}
 	for _, s := range stim {
 		s := s
-		eng.ScheduleAt(s.at, func() {
+		eng.ScheduleEventAt(s.at, call(func() {
 			r := c.Pool.Get()
 			r.Addr = s.addr
 			r.Prefetch = s.prefetch
@@ -104,7 +104,7 @@ func runDiffSide(t *testing.T, dcfg dram.Config, ranks int, ccfg Config, stim []
 				rejects++
 				c.Pool.Put(r)
 			}
-		})
+		}), nil)
 	}
 	end := stim[len(stim)-1].at + 4_000_000
 	eng.RunUntil(end)

@@ -240,14 +240,14 @@ func runDeepSleepScenario(t *testing.T, perCycle bool) (*dram.Channel, []sim.Cyc
 	}
 	for rk := uint64(0); rk < 4; rk++ {
 		rk := rk
-		eng.ScheduleAt(sim.Cycle(1+rk), func() {
+		eng.ScheduleEventAt(sim.Cycle(1+rk), call(func() {
 			r := c.Pool.Get()
 			r.Addr = rankAddr(rk, 7)
 			r.OnComplete = func(*Request) {}
 			if !c.EnqueueRead(r) {
 				t.Error("initial enqueue rejected")
 			}
-		})
+		}), nil)
 	}
 
 	tm := ch.Cfg.Timing
@@ -270,7 +270,7 @@ func runDeepSleepScenario(t *testing.T, perCycle bool) (*dram.Channel, []sim.Cyc
 	}
 
 	done := make([]sim.Cycle, 4)
-	eng.Schedule(0, func() {
+	eng.ScheduleEvent(0, call(func() {
 		for rk := uint64(0); rk < 4; rk++ {
 			rk := rk
 			r := c.Pool.Get()
@@ -280,7 +280,7 @@ func runDeepSleepScenario(t *testing.T, perCycle bool) (*dram.Channel, []sim.Cyc
 				t.Error("post-sleep enqueue rejected")
 			}
 		}
-	})
+	}), nil)
 	eng.RunUntil(idleEnd + 200_000)
 	minLatency := tm.TXP*4 + tm.TRCD + tm.TRL
 	for rk := 0; rk < 4; rk++ {

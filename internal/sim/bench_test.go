@@ -2,8 +2,8 @@ package sim
 
 import "testing"
 
-// BenchmarkKernelScheduleEvent measures the zero-allocation scheduling
-// form: one handler event pushed and popped per iteration.
+// BenchmarkKernelScheduleEvent measures one zero-allocation handler
+// event pushed and popped per iteration.
 func BenchmarkKernelScheduleEvent(b *testing.B) {
 	var e Engine
 	h := &nopHandler{}
@@ -11,19 +11,6 @@ func BenchmarkKernelScheduleEvent(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.ScheduleEvent(1, h, nil)
-		e.RunUntil(e.Now() + 1)
-	}
-}
-
-// BenchmarkKernelScheduleClosure measures the legacy closure form for
-// comparison (the closure itself is the expected allocation).
-func BenchmarkKernelScheduleClosure(b *testing.B) {
-	var e Engine
-	n := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(1, func() { n++ })
 		e.RunUntil(e.Now() + 1)
 	}
 }

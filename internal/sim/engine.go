@@ -10,7 +10,7 @@
 //
 // The event queue is allocation-free in steady state: events are stored
 // by value in the heap slice (no container/heap interface{} boxing), and
-// the (handler, arg) scheduling form lets hot call sites dispatch on a
+// every event is a (handler, arg) pair, so call sites dispatch on a
 // preallocated handler object instead of a fresh closure per event.
 package sim
 
@@ -32,8 +32,8 @@ func CyclesPerNS(ns float64) Cycle {
 	return c
 }
 
-// EventHandler is the zero-allocation callback form: entities preallocate
-// one handler per event kind and pass per-event context through arg.
+// EventHandler receives scheduled events: entities preallocate one
+// handler per event kind and pass per-event context through arg.
 // Storing a pointer (or nil) in arg does not allocate.
 type EventHandler interface {
 	OnEvent(arg any)
@@ -47,15 +47,6 @@ type PhasedHandler interface {
 	EventHandler
 	OnPhasedEvent(arg any, phase uint64)
 }
-
-// funcEvent adapts the legacy func() scheduling form onto the handler
-// dispatch path. A func value is pointer-shaped, so carrying it in arg
-// does not box.
-type funcEvent struct{}
-
-func (funcEvent) OnEvent(arg any) { arg.(func())() }
-
-var funcRunner funcEvent
 
 // event is a scheduled callback, stored by value in the heap.
 type event struct {
@@ -167,27 +158,10 @@ func heapPop(pq *[]event) event {
 	return top
 }
 
-// Schedule runs fn after delay cycles. A delay of zero runs fn during the
-// current cycle, after all previously scheduled work for this cycle.
-// Scheduling into the past panics: that is always a model bug.
-//
-// This form allocates the closure at the call site; hot paths should use
-// ScheduleEvent with a preallocated handler instead.
-func (e *Engine) Schedule(delay Cycle, fn func()) {
-	if delay < 0 {
-		panic("sim: negative event delay")
-	}
-	e.ScheduleAt(e.now+delay, fn)
-}
-
-// ScheduleAt runs fn at absolute cycle when (which must not precede Now).
-func (e *Engine) ScheduleAt(when Cycle, fn func()) {
-	e.ScheduleEventAt(when, funcRunner, fn)
-}
-
-// ScheduleEvent runs h.OnEvent(arg) after delay cycles. It performs no
-// allocation: the event is stored by value and arg carries pointer-shaped
-// context directly.
+// ScheduleEvent runs h.OnEvent(arg) after delay cycles. A delay of zero
+// runs it during the current cycle, after all previously scheduled work
+// for this cycle. It performs no allocation: the event is stored by
+// value and arg carries pointer-shaped context directly.
 func (e *Engine) ScheduleEvent(delay Cycle, h EventHandler, arg any) {
 	if delay < 0 {
 		panic("sim: negative event delay")
@@ -195,8 +169,8 @@ func (e *Engine) ScheduleEvent(delay Cycle, h EventHandler, arg any) {
 	e.ScheduleEventAt(e.now+delay, h, arg)
 }
 
-// ScheduleEventAt runs h.OnEvent(arg) at absolute cycle when (which must
-// not precede Now).
+// ScheduleEventAt runs h.OnEvent(arg) at absolute cycle when.
+// Scheduling into the past panics: that is always a model bug.
 func (e *Engine) ScheduleEventAt(when Cycle, h EventHandler, arg any) {
 	if when < e.now {
 		panic("sim: event scheduled in the past")
@@ -240,9 +214,6 @@ func (e *Engine) SchedulePhasedAt(when Cycle, phase uint64, h PhasedHandler, arg
 // enqueued from core-step context only from the next cycle on — branch
 // on this instead of threading context flags through every caller.
 func (e *Engine) InDispatch() bool { return e.dispatches > 0 }
-
-// Len reports the number of queued events (diagnostics).
-func (e *Engine) Len() int { return e.wcount + len(e.pq) }
 
 // PeekNext returns the time of the next event; ok is false if none
 // remain.
@@ -292,27 +263,6 @@ func (e *Engine) RunUntil(end Cycle) uint64 {
 	return n
 }
 
-// Step executes all events scheduled at the single next event time and
-// advances the clock to it. It reports false when no events remain.
-func (e *Engine) Step() bool {
-	top := e.qPeek()
-	if top == nil {
-		return false
-	}
-	t := top.when
-	for {
-		top := e.qPeek()
-		if top == nil || top.when != t {
-			break
-		}
-		ev := e.qPop()
-		e.now = t
-		e.dispatch(&ev)
-		e.fired++
-	}
-	return true
-}
-
 // dispatch invokes one popped event's handler with the in-dispatch flag
 // held, routing phased events to their extended interface.
 func (e *Engine) dispatch(ev *event) {
@@ -323,12 +273,4 @@ func (e *Engine) dispatch(ev *event) {
 		ev.h.OnEvent(ev.arg)
 	}
 	e.dispatches--
-}
-
-// AdvanceTo moves the clock forward to when without running events beyond
-// it. Used by cycle-stepped components interleaved with the event queue.
-func (e *Engine) AdvanceTo(when Cycle) {
-	if when > e.now {
-		e.now = when
-	}
 }

@@ -26,13 +26,19 @@ func TestCyclesPerNS(t *testing.T) {
 	}
 }
 
+// call adapts a closure to EventHandler so tests can schedule inline
+// bodies.
+type call func()
+
+func (f call) OnEvent(any) { f() }
+
 func TestEngineOrdering(t *testing.T) {
 	var e Engine
 	var got []int
-	e.Schedule(10, func() { got = append(got, 2) })
-	e.Schedule(5, func() { got = append(got, 1) })
-	e.Schedule(10, func() { got = append(got, 3) }) // FIFO at same cycle
-	e.Schedule(20, func() { got = append(got, 4) })
+	e.ScheduleEvent(10, call(func() { got = append(got, 2) }), nil)
+	e.ScheduleEvent(5, call(func() { got = append(got, 1) }), nil)
+	e.ScheduleEvent(10, call(func() { got = append(got, 3) }), nil) // FIFO at same cycle
+	e.ScheduleEvent(20, call(func() { got = append(got, 4) }), nil)
 	e.RunUntil(100)
 	want := []int{1, 2, 3, 4}
 	if len(got) != len(want) {
@@ -51,8 +57,8 @@ func TestEngineOrdering(t *testing.T) {
 func TestEngineRunUntilBoundary(t *testing.T) {
 	var e Engine
 	fired := 0
-	e.Schedule(10, func() { fired++ })
-	e.Schedule(11, func() { fired++ })
+	e.ScheduleEvent(10, call(func() { fired++ }), nil)
+	e.ScheduleEvent(11, call(func() { fired++ }), nil)
 	e.RunUntil(10)
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1 (event at end boundary inclusive)", fired)
@@ -69,11 +75,11 @@ func TestEngineRunUntilBoundary(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	var e Engine
 	var order []Cycle
-	e.Schedule(5, func() {
+	e.ScheduleEvent(5, call(func() {
 		order = append(order, e.Now())
-		e.Schedule(5, func() { order = append(order, e.Now()) })
-		e.Schedule(0, func() { order = append(order, e.Now()) })
-	})
+		e.ScheduleEvent(5, call(func() { order = append(order, e.Now()) }), nil)
+		e.ScheduleEvent(0, call(func() { order = append(order, e.Now()) }), nil)
+	}), nil)
 	e.RunUntil(50)
 	if len(order) != 3 || order[0] != 5 || order[1] != 5 || order[2] != 10 {
 		t.Fatalf("order = %v, want [5 5 10]", order)
@@ -82,37 +88,14 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEnginePastPanics(t *testing.T) {
 	var e Engine
-	e.Schedule(10, func() {})
+	e.ScheduleEvent(10, &nopHandler{}, nil)
 	e.RunUntil(10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.ScheduleAt(5, func() {})
-}
-
-func TestEngineStep(t *testing.T) {
-	var e Engine
-	count := 0
-	e.Schedule(3, func() { count++ })
-	e.Schedule(3, func() { count++ })
-	e.Schedule(7, func() { count++ })
-	if !e.Step() {
-		t.Fatal("Step returned false with pending events")
-	}
-	if count != 2 || e.Now() != 3 {
-		t.Fatalf("after first Step: count=%d now=%d, want 2, 3", count, e.Now())
-	}
-	if !e.Step() {
-		t.Fatal("Step returned false with pending events")
-	}
-	if count != 3 || e.Now() != 7 {
-		t.Fatalf("after second Step: count=%d now=%d, want 3, 7", count, e.Now())
-	}
-	if e.Step() {
-		t.Fatal("Step returned true with no events")
-	}
+	e.ScheduleEventAt(5, &nopHandler{}, nil)
 }
 
 func TestEnginePeekNext(t *testing.T) {
@@ -120,7 +103,7 @@ func TestEnginePeekNext(t *testing.T) {
 	if _, ok := e.PeekNext(); ok {
 		t.Fatal("PeekNext ok on empty engine")
 	}
-	e.Schedule(42, func() {})
+	e.ScheduleEvent(42, &nopHandler{}, nil)
 	when, ok := e.PeekNext()
 	if !ok || when != 42 {
 		t.Fatalf("PeekNext = %d,%v want 42,true", when, ok)
@@ -137,7 +120,7 @@ func TestEngineOrderProperty(t *testing.T) {
 		var e Engine
 		var fired []Cycle
 		for _, d := range delays {
-			e.Schedule(Cycle(d), func() { fired = append(fired, e.Now()) })
+			e.ScheduleEvent(Cycle(d), call(func() { fired = append(fired, e.Now()) }), nil)
 		}
 		e.RunUntil(1 << 20)
 		if len(fired) != len(delays) {
@@ -262,22 +245,11 @@ func TestRNGBool(t *testing.T) {
 	}
 }
 
-func TestAdvanceTo(t *testing.T) {
-	var e Engine
-	e.AdvanceTo(50)
-	if e.Now() != 50 {
-		t.Fatalf("Now = %d", e.Now())
-	}
-	e.AdvanceTo(10) // never moves backward
-	if e.Now() != 50 {
-		t.Fatal("AdvanceTo moved the clock backward")
-	}
-}
-
 func TestEventsFiredCounter(t *testing.T) {
 	var e Engine
+	h := &nopHandler{}
 	for i := 0; i < 5; i++ {
-		e.Schedule(Cycle(i), func() {})
+		e.ScheduleEvent(Cycle(i), h, nil)
 	}
 	e.RunUntil(10)
 	if e.EventsFired() != 5 {
@@ -292,7 +264,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	e.Schedule(-1, func() {})
+	e.ScheduleEvent(-1, &nopHandler{}, nil)
 }
 
 // phasedRecorder implements PhasedHandler, appending labels to a log.
@@ -319,15 +291,15 @@ func TestPhasedEventsRunAfterNormal(t *testing.T) {
 	eng.SchedulePhasedAt(10, pb, phasedRecorder{&log, "phaseB"}, nil)
 	eng.SchedulePhasedAt(10, pa, phasedRecorder{&log, "phaseA2"}, nil)
 	eng.SchedulePhasedAt(10, pa, phasedRecorder{&log, "phaseA1"}, nil)
-	eng.Schedule(10, func() { log = append(log, "normal1") })
-	eng.Schedule(10, func() {
+	eng.ScheduleEvent(10, call(func() { log = append(log, "normal1") }), nil)
+	eng.ScheduleEvent(10, call(func() {
 		log = append(log, "normal2")
 		// A normal event scheduled from inside dispatch at the same
 		// cycle still precedes every phased event.
-		eng.Schedule(0, func() { log = append(log, "normal3") })
-	})
+		eng.ScheduleEvent(0, call(func() { log = append(log, "normal3") }), nil)
+	}), nil)
 	// A later cycle's normal event must not interleave.
-	eng.Schedule(11, func() { log = append(log, "next-cycle") })
+	eng.ScheduleEvent(11, call(func() { log = append(log, "next-cycle") }), nil)
 	eng.RunUntil(20)
 	want := []string{"normal1", "normal2", "normal3", "phaseA2", "phaseA1", "phaseB", "next-cycle"}
 	if len(log) != len(want) {
@@ -348,9 +320,9 @@ func TestPhasedOrderAcrossPushOrder(t *testing.T) {
 	var log []string
 	p1, p2 := eng.NewPhase(), eng.NewPhase()
 	eng.SchedulePhasedAt(100, p2, phasedRecorder{&log, "late-session"}, nil)
-	eng.Schedule(50, func() {
+	eng.ScheduleEvent(50, call(func() {
 		eng.SchedulePhasedAt(100, p1, phasedRecorder{&log, "early-session"}, nil)
-	})
+	}), nil)
 	eng.RunUntil(200)
 	if len(log) != 2 || log[0] != "early-session" || log[1] != "late-session" {
 		t.Fatalf("fired %v, want early-session before late-session", log)
@@ -382,9 +354,9 @@ func TestInDispatch(t *testing.T) {
 		t.Fatal("InDispatch true outside dispatch")
 	}
 	saw := false
-	eng.Schedule(1, func() {
+	eng.ScheduleEvent(1, call(func() {
 		saw = eng.InDispatch()
-	})
+	}), nil)
 	eng.RunUntil(5)
 	if !saw {
 		t.Fatal("InDispatch false inside a handler")

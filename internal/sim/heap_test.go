@@ -40,7 +40,7 @@ func TestHeapMatchesReferenceModel(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			if len(e.pq) == 0 || rng.Intn(3) != 0 {
 				seq++
-				ev := event{when: Cycle(rng.Intn(16)), seq: seq, h: funcRunner}
+				ev := event{when: Cycle(rng.Intn(16)), seq: seq}
 				heapPush(&e.pq, ev)
 				m.push(ev)
 			} else {
@@ -80,7 +80,7 @@ func TestHeapFIFOTieBreakProperty(t *testing.T) {
 		var got []fired
 		for id, w := range whens {
 			id, w := id, w
-			e.Schedule(Cycle(w), func() { got = append(got, fired{Cycle(w), id}) })
+			e.ScheduleEvent(Cycle(w), call(func() { got = append(got, fired{Cycle(w), id}) }), nil)
 		}
 		e.RunUntil(1 << 20)
 		if len(got) != len(whens) {
@@ -124,7 +124,7 @@ func TestScheduleEventDispatch(t *testing.T) {
 
 func TestScheduleEventPastPanics(t *testing.T) {
 	var e Engine
-	e.Schedule(10, func() {})
+	e.ScheduleEvent(10, &handlerRecorder{}, nil)
 	e.RunUntil(10)
 	defer func() {
 		if recover() == nil {

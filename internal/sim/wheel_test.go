@@ -34,8 +34,7 @@ func TestWheelMatchesHeapKernel(t *testing.T) {
 			default: // far future: heap-only territory
 				delta = wheelSpan + Cycle(rng.Intn(4*wheelSpan))
 			}
-			ev := event{when: e.now + delta, seq: seq,
-				phase: uint64(rng.Intn(3)), h: funcRunner}
+			ev := event{when: e.now + delta, seq: seq, phase: uint64(rng.Intn(3))}
 			e.qPush(ev)
 			heapPush(&ref, ev)
 			pending++
