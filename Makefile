@@ -1,14 +1,18 @@
 # Verify path for the hetsim repro. `make verify` is what CI (and the
-# per-PR tier-1 gate) should run: build + vet + tests + the race
+# per-PR tier-1 gate) should run: build + gofmt + vet + tests + the race
 # detector over the whole module, including the -j determinism and
 # stress tests, plus the hetbench module's smoke test.
 
 GO ?= go
 
-.PHONY: build vet test race hetbench fuzz faults topologies bench sweepd chaos profile verify
+.PHONY: build fmt vet test race hetbench fuzz faults topologies bench sweepd chaos profile verify
 
 build:
 	$(GO) build ./...
+
+# Every tracked Go file must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 vet:
 	$(GO) vet ./...
@@ -82,4 +86,4 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	@echo "wrote cpu.pprof and mem.pprof"
 
-verify: build vet test race hetbench
+verify: build fmt vet test race hetbench

@@ -22,14 +22,38 @@ type fillSink interface {
 	onLine(e *cache.Entry)
 }
 
-// ChannelGroup exposes one set of like channels for stats and energy.
+// ChannelGroup is one set of like channels, each behind its own
+// controller, exposed for stats and energy.
 type ChannelGroup struct {
-	Kind             dram.Kind
-	Cfg              dram.Config
-	Chans            []*dram.Channel
-	Ctrls            []*memctrl.Controller
-	DevicesPerAccess int
-	DevicesPerRank   int
+	Cfg   dram.Config
+	Chans []*dram.Channel
+	Ctrls []*memctrl.Controller
+}
+
+// newGroup builds n channels of cfg, each behind its own controller
+// (tuned by mc) with its own request pool: a channel's in-flight
+// requests stay packed in its own slabs, which its queue walks scan, and
+// a request always returns to the pool of the controller that issued
+// it. A nil bus gives each channel a private address/command bus; a
+// non-nil one is shared by all n.
+func newGroup(eng *sim.Engine, cfg dram.Config, n int, mc memctrl.Config, bus *dram.CmdBus) ChannelGroup {
+	g := ChannelGroup{Cfg: cfg}
+	for i := 0; i < n; i++ {
+		ch := dram.NewChannel(cfg, 1, bus)
+		ctrl := memctrl.New(eng, ch, mc)
+		ctrl.Pool = new(memctrl.Pool)
+		g.Chans = append(g.Chans, ch)
+		g.Ctrls = append(g.Ctrls, ctrl)
+	}
+	return g
+}
+
+// ctrlConfig is the controller default for a channel kind, with the
+// given sleep variant.
+func ctrlConfig(kind dram.Kind, deepSleep bool) memctrl.Config {
+	mc := memctrl.DefaultConfig(kind)
+	mc.DeepSleep = deepSleep
+	return mc
 }
 
 // backend is a main-memory organization: it turns line fills and
@@ -62,96 +86,145 @@ type backend interface {
 // prefetches (fraction of the read queue).
 const prefetchHeadroom = 0.5
 
-// firstBeat is when the first (reordered, critical) word of a burst is
-// on the pins: one DDR beat after data start.
-func firstBeat(r *memctrl.Request, ch *dram.Channel) sim.Cycle {
-	b := r.DataStart + ch.Cfg.Timing.BusCycle/2
-	if b <= r.DataStart {
-		b = r.DataStart + 1
+// prefetchRoom reports whether ctrl's read queue is below the prefetch
+// headroom ceiling.
+func prefetchRoom(ctrl *memctrl.Controller) bool {
+	rq, _ := ctrl.QueueDepths()
+	return float64(rq) < prefetchHeadroom*float64(ctrl.Cfg.ReadQueueSize)
+}
+
+// read queues a read of the channel-local address addr on ctrl for MSHR
+// entry e, with the given hooks. The request comes from ctrl's pool and
+// goes back to it if the queue refuses it.
+func read(ctrl *memctrl.Controller, addr uint64, e *cache.Entry, onIssue, onComplete func(*memctrl.Request)) bool {
+	r := ctrl.Pool.Get()
+	r.Addr = addr
+	r.Prefetch = e.Prefetch
+	r.Ctx = e
+	r.OnIssue = onIssue
+	r.OnComplete = onComplete
+	if !ctrl.EnqueueRead(r) {
+		ctrl.Pool.Put(r)
+		return false
 	}
-	return b
+	return true
+}
+
+// write posts a write of the channel-local address addr on ctrl.
+func write(ctrl *memctrl.Controller, addr uint64) bool {
+	r := ctrl.Pool.Get()
+	r.Addr = addr
+	if !ctrl.EnqueueWrite(r) {
+		ctrl.Pool.Put(r)
+		return false
+	}
+	return true
 }
 
 // entryOf recovers the MSHR entry a fill request is serving.
 func entryOf(r *memctrl.Request) *cache.Entry { return r.Ctx.(*cache.Entry) }
 
+// fillPath is the delivery plumbing every backend embeds: the sink, and
+// the preallocated request hooks and event handlers that turn controller
+// callbacks into sink deliveries. Fills reuse these func/handler values
+// instead of allocating closures per request.
+type fillPath struct {
+	eng  *sim.Engine
+	sink fillSink
+
+	// OnIssue hooks, delivering on the burst's first (reordered) beat:
+	// beatFn the critical and requested words of a conventional line,
+	// reqWordFn the requested word only (the line part of a split fill).
+	beatFn    func(*memctrl.Request)
+	reqWordFn func(*memctrl.Request)
+	// OnComplete hooks: the fast-path word, and the whole line.
+	critDoneFn func(*memctrl.Request)
+	lineDoneFn func(*memctrl.Request)
+
+	beatH    beatDispatch
+	reqWordH reqWordDispatch
+}
+
+// init wires the hooks; p must not move afterwards.
+func (p *fillPath) init(eng *sim.Engine) {
+	p.eng = eng
+	p.beatH = beatDispatch{p}
+	p.reqWordH = reqWordDispatch{p}
+	p.beatFn = func(r *memctrl.Request) { p.eng.ScheduleEventAt(r.FirstBeat, p.beatH, r) }
+	p.reqWordFn = func(r *memctrl.Request) { p.eng.ScheduleEventAt(r.FirstBeat, p.reqWordH, r) }
+	p.critDoneFn = func(r *memctrl.Request) { p.sink.onCrit(entryOf(r)) }
+	p.lineDoneFn = func(r *memctrl.Request) { p.sink.onLine(entryOf(r)) }
+}
+
+func (p *fillPath) setSink(s fillSink) { p.sink = s }
+
+// beatDispatch delivers a conventional first beat. Burst reordering puts
+// the requested word there, and it is also the line's critical word, so
+// one event delivers both: crit, then requested word.
+type beatDispatch struct{ p *fillPath }
+
+func (d beatDispatch) OnEvent(arg any) {
+	e := entryOf(arg.(*memctrl.Request))
+	d.p.sink.onCrit(e)
+	d.p.sink.onReqWord(e)
+}
+
+// reqWordDispatch delivers the leading (requested) word of a line part
+// whose critical word travels separately.
+type reqWordDispatch struct{ p *fillPath }
+
+func (d reqWordDispatch) OnEvent(arg any) {
+	d.p.sink.onReqWord(entryOf(arg.(*memctrl.Request)))
+}
+
 // lineBackend is the conventional organization (Figure 5a): full lines
 // on homogeneous channels, with conventional burst-reorder CWF. route
-// maps a line address to (channel, channel-local line address).
+// maps a line address to (channel, channel-local line address), the
+// channel indexing the groups' controllers in order.
 type lineBackend struct {
-	eng   *sim.Engine
-	ctrls []*memctrl.Controller
-	chans []*dram.Channel
-	route func(lineAddr uint64) (int, uint64)
-	group []ChannelGroup
-
-	sink fillSink
-	pool memctrl.Pool
-
-	// Preallocated request hooks and event handlers: fills reuse these
-	// func/handler values instead of allocating closures per request.
-	fillIssuedFn func(*memctrl.Request)
-	fillDoneFn   func(*memctrl.Request)
-	critH        lineCritDispatch
-	reqWordH     lineReqWordDispatch
+	fillPath
+	ctrls  []*memctrl.Controller
+	route  func(lineAddr uint64) (int, uint64)
+	groups []ChannelGroup
 }
 
-// lineCritDispatch delivers the burst-reordered critical beat.
-type lineCritDispatch struct{ b *lineBackend }
-
-func (d lineCritDispatch) OnEvent(arg any) {
-	d.b.sink.onCrit(entryOf(arg.(*memctrl.Request)))
-}
-
-// lineReqWordDispatch delivers the requested word on the same beat.
-type lineReqWordDispatch struct{ b *lineBackend }
-
-func (d lineReqWordDispatch) OnEvent(arg any) {
-	d.b.sink.onReqWord(entryOf(arg.(*memctrl.Request)))
-}
-
-// newLineBackend wires the shared hooks of a lineBackend.
-func newLineBackend(eng *sim.Engine) *lineBackend {
-	b := &lineBackend{eng: eng}
-	b.fillIssuedFn = b.fillIssued
-	b.fillDoneFn = b.fillDone
-	b.critH = lineCritDispatch{b}
-	b.reqWordH = lineReqWordDispatch{b}
-	return b
-}
-
-// addCtrl registers a controller and hooks it to the shared pool.
-func (b *lineBackend) addCtrl(ch *dram.Channel, ctrl *memctrl.Controller) {
-	ctrl.Pool = &b.pool
-	b.chans = append(b.chans, ch)
-	b.ctrls = append(b.ctrls, ctrl)
-}
-
-// addChannels appends n channels of cfg, with controller defaults for
-// its kind (and the given sleep variant), and returns them as a group.
-func (b *lineBackend) addChannels(cfg dram.Config, n int, deepSleep bool) ChannelGroup {
-	first := len(b.chans)
-	for i := 0; i < n; i++ {
-		ch := dram.NewChannel(cfg, 1, nil)
-		mc := memctrl.DefaultConfig(cfg.Kind)
-		mc.DeepSleep = deepSleep
-		b.addCtrl(ch, memctrl.New(b.eng, ch, mc))
+// newLineBackend composes a lineBackend from its channel groups.
+func newLineBackend(eng *sim.Engine, groups ...ChannelGroup) *lineBackend {
+	b := &lineBackend{groups: groups}
+	b.init(eng)
+	for _, g := range groups {
+		b.ctrls = append(b.ctrls, g.Ctrls...)
 	}
-	return ChannelGroup{Kind: cfg.Kind, Cfg: cfg, Chans: b.chans[first:], Ctrls: b.ctrls[first:],
-		DevicesPerAccess: cfg.Geom.DevicesPerRank, DevicesPerRank: cfg.Geom.DevicesPerRank}
+	return b
 }
 
 // newHomogeneous builds nCh channels of cfg.
 func newHomogeneous(eng *sim.Engine, cfg dram.Config, nCh int, deepSleep bool) *lineBackend {
-	b := newLineBackend(eng)
-	b.group = []ChannelGroup{b.addChannels(cfg, nCh, deepSleep)}
+	b := newLineBackend(eng, newGroup(eng, cfg, nCh, ctrlConfig(cfg.Kind, deepSleep), nil))
 	b.route = func(la uint64) (int, uint64) {
 		return int(la % uint64(nCh)), la / uint64(nCh)
 	}
 	return b
 }
 
-func (b *lineBackend) setSink(s fillSink) { b.sink = s }
+// newPagePlaced builds the §7.1 comparison: nHot full-line channels of
+// hotCfg hold the profiled hot pages, nFar channels of farCfg every
+// other page. Lines of a page stay on one channel.
+func newPagePlaced(eng *sim.Engine, hotCfg dram.Config, nHot int, farCfg dram.Config, nFar int,
+	hot map[uint64]bool, deepSleep bool) *lineBackend {
+	b := newLineBackend(eng,
+		newGroup(eng, hotCfg, nHot, ctrlConfig(hotCfg.Kind, deepSleep), nil),
+		newGroup(eng, farCfg, nFar, ctrlConfig(farCfg.Kind, deepSleep), nil))
+	const linesPerPage = 64
+	b.route = func(la uint64) (int, uint64) {
+		page := la / linesPerPage
+		if hot[page] {
+			return int(page % uint64(nHot)), la
+		}
+		return nHot + int(page%uint64(nFar)), la
+	}
+	return b
+}
 
 func (b *lineBackend) CanAcceptFill(lineAddr uint64) bool {
 	ch, _ := b.route(lineAddr)
@@ -160,37 +233,12 @@ func (b *lineBackend) CanAcceptFill(lineAddr uint64) bool {
 
 func (b *lineBackend) CanAcceptPrefetch(lineAddr uint64) bool {
 	ch, _ := b.route(lineAddr)
-	rq, _ := b.ctrls[ch].QueueDepths()
-	return float64(rq) < prefetchHeadroom*float64(b.ctrls[ch].Cfg.ReadQueueSize)
-}
-
-// fillIssued (via Request.OnIssue) schedules critical-beat delivery: the
-// burst is reordered so the requested word leads.
-func (b *lineBackend) fillIssued(r *memctrl.Request) {
-	beat := firstBeat(r, b.chans[r.Tag])
-	b.eng.ScheduleEventAt(beat, b.critH, r)
-	b.eng.ScheduleEventAt(beat, b.reqWordH, r)
-}
-
-// fillDone (via Request.OnComplete) delivers the full line.
-func (b *lineBackend) fillDone(r *memctrl.Request) {
-	b.sink.onLine(entryOf(r))
+	return prefetchRoom(b.ctrls[ch])
 }
 
 func (b *lineBackend) IssueFill(e *cache.Entry) bool {
-	chIdx, local := b.route(e.LineAddr)
-	req := b.pool.Get()
-	req.Addr = local
-	req.Prefetch = e.Prefetch
-	req.Ctx = e
-	req.Tag = chIdx
-	req.OnIssue = b.fillIssuedFn
-	req.OnComplete = b.fillDoneFn
-	if !b.ctrls[chIdx].EnqueueRead(req) {
-		b.pool.Put(req)
-		return false
-	}
-	return true
+	ch, local := b.route(e.LineAddr)
+	return read(b.ctrls[ch], local, e, b.beatFn, b.lineDoneFn)
 }
 
 func (b *lineBackend) CanAcceptWriteback(lineAddr uint64) bool {
@@ -200,20 +248,14 @@ func (b *lineBackend) CanAcceptWriteback(lineAddr uint64) bool {
 
 func (b *lineBackend) IssueWriteback(lineAddr uint64) bool {
 	ch, local := b.route(lineAddr)
-	req := b.pool.Get()
-	req.Addr = local
-	if !b.ctrls[ch].EnqueueWrite(req) {
-		b.pool.Put(req)
-		return false
-	}
-	return true
+	return write(b.ctrls[ch], local)
 }
 
 // DegradeCrit is a no-op: homogeneous organizations have no separate
 // critical-word store to lose.
 func (b *lineBackend) DegradeCrit() {}
 
-func (b *lineBackend) Groups() []ChannelGroup { return b.group }
+func (b *lineBackend) Groups() []ChannelGroup { return b.groups }
 
 func (b *lineBackend) lineChannel(lineAddr uint64) int {
 	ch, _ := b.route(lineAddr)
@@ -223,36 +265,18 @@ func (b *lineBackend) lineChannel(lineAddr uint64) int {
 // cwfBackend is the split organization of Figure 5c: four line channels
 // carrying words 1-7 + ECC, and four x9 critical-word sub-channels (one
 // rank each) behind a single shared double-pumped address/command bus.
+// Line addresses interleave over the line channels; the crit
+// sub-channel index folds onto len(critCtrl).
 type cwfBackend struct {
-	eng       *sim.Engine
-	lineCtrl  []*memctrl.Controller
-	lineChan  []*dram.Channel
-	critCtrl  []*memctrl.Controller
-	critChan  []*dram.Channel
-	sharedCmd *dram.CmdBus
-	// nLine is the line-channel count; line addresses interleave over
-	// it, and the crit sub-channel index folds onto len(critCtrl).
-	nLine  int
-	groups []ChannelGroup
+	fillPath
+	lineCtrl []*memctrl.Controller
+	critCtrl []*memctrl.Controller
+	groups   []ChannelGroup
 
 	// critDead is set by DegradeCrit: the RLDRAM DIMM is lost and the
 	// organization serves everything from the line channels (no early
 	// word, conventional burst-reorder only).
 	critDead bool
-
-	sink fillSink
-
-	critDoneFn   func(*memctrl.Request)
-	lineIssuedFn func(*memctrl.Request)
-	lineDoneFn   func(*memctrl.Request)
-	reqWordH     cwfReqWordDispatch
-}
-
-// cwfReqWordDispatch delivers the line part's leading (requested) word.
-type cwfReqWordDispatch struct{ b *cwfBackend }
-
-func (d cwfReqWordDispatch) OnEvent(arg any) {
-	d.b.sink.onReqWord(entryOf(arg.(*memctrl.Request)))
 }
 
 // cwfOptions tune the split organization: channel counts per role
@@ -269,71 +293,40 @@ func newCWF(eng *sim.Engine, lineCfg, critCfg dram.Config, opt cwfOptions) *cwfB
 	if opt.lineChans == 0 {
 		opt.lineChans = Channels
 	}
-	if opt.critSubs == 0 {
-		opt.critSubs = opt.lineChans
-	}
-	b := &cwfBackend{eng: eng, sharedCmd: &dram.CmdBus{}, nLine: opt.lineChans}
-	b.critDoneFn = b.critDone
-	b.lineIssuedFn = b.lineIssued
-	b.lineDoneFn = b.lineDone
-	b.reqWordH = cwfReqWordDispatch{b}
 	critSubs := opt.critSubs
-	devsPerAccess := 1
-	devsPerRank := 1
+	if critSubs == 0 {
+		critSubs = opt.lineChans
+	}
 	if opt.wideRank {
 		// §4.2.4 pre-optimization organization: word 0 and parity are
 		// striped across 4 chips on a 36-bit bus — one sub-channel,
 		// bursts complete in a single bus cycle, 4 chips activate.
 		critSubs = 1
 		critCfg.Timing.Burst = critCfg.Timing.BusCycle
-		devsPerAccess = 4
-		devsPerRank = 4
+		critCfg.Geom.DevicesPerRank = 4
 	}
-	for i := 0; i < opt.lineChans; i++ {
-		lc := dram.NewChannel(lineCfg, 1, nil)
-		lcc := memctrl.DefaultConfig(lineCfg.Kind)
-		lcc.DeepSleep = opt.deepSleep
-		ctrl := memctrl.New(eng, lc, lcc)
-		// One request pool per controller: each channel's in-flight
-		// requests stay packed in that channel's own slabs, which its
-		// queue walks scan, and a request always returns to the pool of
-		// the controller that issued it.
-		ctrl.Pool = new(memctrl.Pool)
-		b.lineChan = append(b.lineChan, lc)
-		b.lineCtrl = append(b.lineCtrl, ctrl)
+	line := newGroup(eng, lineCfg, opt.lineChans, ctrlConfig(lineCfg.Kind, opt.deepSleep), nil)
+	// The sub-channels share one physical controller's queue capacity
+	// (§4.2.4 aggregates them onto one controller).
+	mc := memctrl.DefaultConfig(critCfg.Kind)
+	mc.ReadQueueSize = 48 / critSubs
+	mc.WriteQueueSize = 48 / critSubs
+	mc.HighWatermark = 32 / critSubs
+	mc.LowWatermark = 16 / critSubs
+	var bus *dram.CmdBus
+	if !opt.privateCmdBus {
+		bus = &dram.CmdBus{}
 	}
-	for i := 0; i < critSubs; i++ {
-		bus := b.sharedCmd
-		if opt.privateCmdBus {
-			bus = &dram.CmdBus{}
-		}
-		cc := dram.NewChannel(critCfg, 1, bus)
-		ccc := memctrl.DefaultConfig(critCfg.Kind)
-		// The sub-channels share one physical controller's queue
-		// capacity (§4.2.4 aggregates them onto one controller).
-		ccc.ReadQueueSize = 48 / critSubs
-		ccc.WriteQueueSize = 48 / critSubs
-		ccc.HighWatermark = 32 / critSubs
-		ccc.LowWatermark = 16 / critSubs
-		ctrl := memctrl.New(eng, cc, ccc)
-		ctrl.Pool = new(memctrl.Pool)
-		b.critChan = append(b.critChan, cc)
-		b.critCtrl = append(b.critCtrl, ctrl)
-	}
-	b.groups = []ChannelGroup{
-		{Kind: lineCfg.Kind, Cfg: lineCfg, Chans: b.lineChan, Ctrls: b.lineCtrl,
-			DevicesPerAccess: lineCfg.Geom.DevicesPerRank, DevicesPerRank: lineCfg.Geom.DevicesPerRank},
-		{Kind: critCfg.Kind, Cfg: critCfg, Chans: b.critChan, Ctrls: b.critCtrl,
-			DevicesPerAccess: devsPerAccess, DevicesPerRank: devsPerRank},
-	}
+	crit := newGroup(eng, critCfg, critSubs, mc, bus)
+	b := &cwfBackend{lineCtrl: line.Ctrls, critCtrl: crit.Ctrls, groups: []ChannelGroup{line, crit}}
+	b.init(eng)
 	return b
 }
 
-func (b *cwfBackend) setSink(s fillSink) { b.sink = s }
-
 // split routes a line address to its line channel and local address.
 func (b *cwfBackend) split(lineAddr uint64) (ch int, local uint64) {
-	return int(lineAddr % uint64(b.nLine)), lineAddr / uint64(b.nLine)
+	n := uint64(len(b.lineCtrl))
+	return int(lineAddr % n), lineAddr / n
 }
 
 // critSub maps a line channel index to its critical sub-channel. When
@@ -363,77 +356,28 @@ func (b *cwfBackend) CanAcceptFill(lineAddr uint64) bool {
 
 func (b *cwfBackend) CanAcceptPrefetch(lineAddr uint64) bool {
 	ch, _ := b.split(lineAddr)
-	lrq, _ := b.lineCtrl[ch].QueueDepths()
-	if float64(lrq) >= prefetchHeadroom*float64(b.lineCtrl[ch].Cfg.ReadQueueSize) {
+	if !prefetchRoom(b.lineCtrl[ch]) {
 		return false
 	}
-	if b.critDead {
-		return true
-	}
-	cs := b.critSub(ch)
-	crq, _ := b.critCtrl[cs].QueueDepths()
-	return float64(crq) < prefetchHeadroom*float64(b.critCtrl[cs].Cfg.ReadQueueSize)
+	return b.critDead || prefetchRoom(b.critCtrl[b.critSub(ch)])
 }
 
-// critDone (via Request.OnComplete) delivers the fast-path word: the
-// whole 8-byte word (plus parity) has arrived over the x9 sub-channel.
-func (b *cwfBackend) critDone(r *memctrl.Request) {
-	b.sink.onCrit(entryOf(r))
-}
-
-// lineIssued (via Request.OnIssue) schedules requested-word delivery on
-// the line part's first (reordered) beat.
-func (b *cwfBackend) lineIssued(r *memctrl.Request) {
-	b.eng.ScheduleEventAt(firstBeat(r, b.lineChan[r.Tag]), b.reqWordH, r)
-}
-
-// lineDone (via Request.OnComplete) delivers the full line.
-func (b *cwfBackend) lineDone(r *memctrl.Request) {
-	b.sink.onLine(entryOf(r))
-}
-
+// IssueFill reads the critical word from its sub-channel (delivered
+// whole, word plus parity, on completion) and the line part from its
+// line channel (requested word on the first beat, then the line).
 func (b *cwfBackend) IssueFill(e *cache.Entry) bool {
-	chIdx, local := b.split(e.LineAddr)
+	ch, local := b.split(e.LineAddr)
+	line := b.lineCtrl[ch]
 	if b.critDead {
 		// Degraded mode: line part only. The caller marks the entry
 		// NoCrit so completion does not wait for an early word.
-		if !b.lineCtrl[chIdx].CanAcceptRead() {
-			return false
-		}
-		lineReq := b.lineCtrl[chIdx].Pool.Get()
-		lineReq.Addr = local
-		lineReq.Prefetch = e.Prefetch
-		lineReq.Ctx = e
-		lineReq.Tag = chIdx
-		lineReq.OnIssue = b.lineIssuedFn
-		lineReq.OnComplete = b.lineDoneFn
-		if !b.lineCtrl[chIdx].EnqueueRead(lineReq) {
-			b.lineCtrl[chIdx].Pool.Put(lineReq)
-			return false
-		}
-		return true
+		return read(line, local, e, b.reqWordFn, b.lineDoneFn)
 	}
-	cs := b.critSub(chIdx)
-	if !b.lineCtrl[chIdx].CanAcceptRead() || !b.critCtrl[cs].CanAcceptRead() {
+	crit := b.critCtrl[b.critSub(ch)]
+	if !line.CanAcceptRead() || !read(crit, b.critLocal(e.LineAddr), e, nil, b.critDoneFn) {
 		return false
 	}
-	critReq := b.critCtrl[cs].Pool.Get()
-	critReq.Addr = b.critLocal(e.LineAddr)
-	critReq.Prefetch = e.Prefetch
-	critReq.Ctx = e
-	critReq.OnComplete = b.critDoneFn
-	if !b.critCtrl[cs].EnqueueRead(critReq) {
-		b.critCtrl[cs].Pool.Put(critReq)
-		return false
-	}
-	lineReq := b.lineCtrl[chIdx].Pool.Get()
-	lineReq.Addr = local
-	lineReq.Prefetch = e.Prefetch
-	lineReq.Ctx = e
-	lineReq.Tag = chIdx
-	lineReq.OnIssue = b.lineIssuedFn
-	lineReq.OnComplete = b.lineDoneFn
-	if !b.lineCtrl[chIdx].EnqueueRead(lineReq) {
+	if !read(line, local, e, b.reqWordFn, b.lineDoneFn) {
 		// CanAcceptRead was checked above; a failure here is a bug.
 		panic("core: line enqueue failed after capacity check")
 	}
@@ -449,22 +393,14 @@ func (b *cwfBackend) CanAcceptWriteback(lineAddr uint64) bool {
 }
 
 func (b *cwfBackend) IssueWriteback(lineAddr uint64) bool {
-	ch, local := b.split(lineAddr)
 	if !b.CanAcceptWriteback(lineAddr) {
 		return false
 	}
-	if !b.critDead {
-		cs := b.critSub(ch)
-		critReq := b.critCtrl[cs].Pool.Get()
-		critReq.Addr = b.critLocal(lineAddr)
-		if !b.critCtrl[cs].EnqueueWrite(critReq) {
-			b.critCtrl[cs].Pool.Put(critReq)
-			return false
-		}
+	ch, local := b.split(lineAddr)
+	if !b.critDead && !write(b.critCtrl[b.critSub(ch)], b.critLocal(lineAddr)) {
+		return false
 	}
-	lineReq := b.lineCtrl[ch].Pool.Get()
-	lineReq.Addr = local
-	if !b.lineCtrl[ch].EnqueueWrite(lineReq) {
+	if !write(b.lineCtrl[ch], local) {
 		panic("core: line write enqueue failed after capacity check")
 	}
 	return true
@@ -481,22 +417,4 @@ func (b *cwfBackend) Groups() []ChannelGroup { return b.groups }
 func (b *cwfBackend) lineChannel(lineAddr uint64) int {
 	ch, _ := b.split(lineAddr)
 	return ch
-}
-
-// newPagePlaced builds the §7.1 comparison: nHot full-line channels of
-// hotCfg hold the profiled hot pages, nFar channels of farCfg every
-// other page. Lines of a page stay on one channel.
-func newPagePlaced(eng *sim.Engine, hotCfg dram.Config, nHot int, farCfg dram.Config, nFar int,
-	hot map[uint64]bool, deepSleep bool) *lineBackend {
-	b := newLineBackend(eng)
-	b.group = []ChannelGroup{b.addChannels(hotCfg, nHot, deepSleep), b.addChannels(farCfg, nFar, deepSleep)}
-	const linesPerPage = 64
-	b.route = func(la uint64) (int, uint64) {
-		page := la / linesPerPage
-		if hot[page] {
-			return int(page % uint64(nHot)), la
-		}
-		return nHot + int(page%uint64(nFar)), la
-	}
-	return b
 }

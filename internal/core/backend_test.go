@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"hetsim/internal/cache"
 	"hetsim/internal/dram"
+	"hetsim/internal/memctrl"
 	"hetsim/internal/sim"
 )
 
@@ -152,7 +154,7 @@ func TestCWFBackendSharedCmdBusSerializes(t *testing.T) {
 	if len(distinct) < 2 {
 		t.Fatal("command bus contention not visible in delivery times")
 	}
-	if b.sharedCmd.BusyCycles == 0 {
+	if b.Groups()[1].Chans[0].Cmd.BusyCycles == 0 {
 		t.Fatal("shared command bus unused")
 	}
 }
@@ -164,11 +166,12 @@ func TestCWFBackendWritebackGoesToBothChannels(t *testing.T) {
 		t.Fatal("writeback rejected")
 	}
 	eng.RunUntil(100000)
-	if b.critChan[3].Stat.Writes != 1 {
-		t.Fatalf("crit channel writes = %d", b.critChan[3].Stat.Writes)
+	gs := b.Groups()
+	if gs[1].Chans[3].Stat.Writes != 1 {
+		t.Fatalf("crit channel writes = %d", gs[1].Chans[3].Stat.Writes)
 	}
-	if b.lineChan[3].Stat.Writes != 1 {
-		t.Fatalf("line channel writes = %d", b.lineChan[3].Stat.Writes)
+	if gs[0].Chans[3].Stat.Writes != 1 {
+		t.Fatalf("line channel writes = %d", gs[0].Chans[3].Stat.Writes)
 	}
 }
 
@@ -179,13 +182,13 @@ func TestCWFBackendGroups(t *testing.T) {
 	if len(gs) != 2 {
 		t.Fatalf("groups = %d", len(gs))
 	}
-	if gs[0].Kind != dram.LPDDR2 || gs[1].Kind != dram.RLDRAM3 {
+	if gs[0].Cfg.Kind != dram.LPDDR2 || gs[1].Cfg.Kind != dram.RLDRAM3 {
 		t.Fatal("group kinds wrong")
 	}
-	if gs[1].DevicesPerAccess != 1 {
+	if gs[1].Cfg.Geom.DevicesPerRank != 1 {
 		t.Fatal("critical access must activate a single x9 chip (§4.2.4)")
 	}
-	if gs[0].DevicesPerAccess != 8 {
+	if gs[0].Cfg.Geom.DevicesPerRank != 8 {
 		t.Fatal("line access must activate 8 LPDDR2 chips")
 	}
 }
@@ -210,7 +213,7 @@ func TestPagePlacedRouting(t *testing.T) {
 	if len(cold) != 3 {
 		t.Fatalf("cold pages spread over %d channels, want 3", len(cold))
 	}
-	if b.Groups()[0].Kind != dram.RLDRAM3 {
+	if b.Groups()[0].Cfg.Kind != dram.RLDRAM3 {
 		t.Fatal("hot channel kind wrong")
 	}
 }
@@ -239,12 +242,12 @@ func TestCWFWideRankStructure(t *testing.T) {
 	eng := &sim.Engine{}
 	b := newCWF(eng, dram.LPDDR2Config(), dram.RLDRAM3WordConfig(),
 		cwfOptions{wideRank: true})
-	if len(b.critChan) != 1 {
-		t.Fatalf("wide rank sub-channels = %d, want 1", len(b.critChan))
-	}
 	g := b.Groups()[1]
-	if g.DevicesPerAccess != 4 || g.DevicesPerRank != 4 {
-		t.Fatalf("wide rank devices = %d/%d, want 4/4", g.DevicesPerAccess, g.DevicesPerRank)
+	if len(g.Chans) != 1 {
+		t.Fatalf("wide rank sub-channels = %d, want 1", len(g.Chans))
+	}
+	if g.Cfg.Geom.DevicesPerRank != 4 {
+		t.Fatalf("wide rank devices = %d, want 4", g.Cfg.Geom.DevicesPerRank)
 	}
 	// The 36-bit bus moves the word in a single bus cycle.
 	if got := g.Cfg.Timing.Burst; got != g.Cfg.Timing.BusCycle {
@@ -260,7 +263,7 @@ func TestCWFWideRankStructure(t *testing.T) {
 	b.setSink(&testSink{})
 	fill(t, b, 3)
 	eng.RunUntil(100000)
-	if b.critChan[0].Stat.Reads != 1 {
+	if g.Chans[0].Stat.Reads != 1 {
 		t.Fatal("wide-rank read not issued")
 	}
 }
@@ -269,12 +272,133 @@ func TestCWFPrivateCmdBusesIndependent(t *testing.T) {
 	eng := &sim.Engine{}
 	b := newCWF(eng, dram.LPDDR2Config(), dram.RLDRAM3WordConfig(),
 		cwfOptions{privateCmdBus: true})
-	if b.critChan[0].Cmd == b.critChan[1].Cmd {
+	if crit := b.Groups()[1].Chans; crit[0].Cmd == crit[1].Cmd {
 		t.Fatal("private command buses are shared")
 	}
 	// The shared-bus default aliases them.
 	sb := newCWF(eng, dram.LPDDR2Config(), dram.RLDRAM3WordConfig(), cwfOptions{})
-	if sb.critChan[0].Cmd != sb.critChan[1].Cmd {
+	if crit := sb.Groups()[1].Chans; crit[0].Cmd != crit[1].Cmd {
 		t.Fatal("default command bus not shared")
+	}
+}
+
+// TestFillDelivery drives one fill through every organization and
+// checks what the sink sees: each of crit, requested word and line
+// exactly once (no crit on a degraded split fill), the requested word
+// on the line burst's first beat, and — on conventional channels — the
+// crit on that same beat, delivered just before the requested word.
+func TestFillDelivery(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(*testing.T, *sim.Engine) backend
+		line  uint64
+		group int  // the group whose channel carries the line
+		split bool // the crit word travels on its own channel
+		crit  int  // crit deliveries expected
+	}{
+		{name: "homogeneous", line: 5, crit: 1, build: func(t *testing.T, eng *sim.Engine) backend {
+			return newHomogeneous(eng, dram.DDR3Config(), Channels, false)
+		}},
+		{name: "page-placed", line: 5, crit: 1, build: func(t *testing.T, eng *sim.Engine) backend {
+			return newPagePlaced(eng, dram.RLDRAM3Config(), 1, dram.LPDDR2Config(), Channels-1,
+				map[uint64]bool{0: true}, false)
+		}},
+		{name: "dram-cache-miss", line: 7, group: 1, crit: 1, build: func(t *testing.T, eng *sim.Engine) backend {
+			return newTestDRAMCache(eng)
+		}},
+		{name: "dram-cache-hit", line: 7, crit: 1, build: func(t *testing.T, eng *sim.Engine) backend {
+			b := newTestDRAMCache(eng)
+			b.setSink(&testSink{})
+			fill(t, b, 7) // miss, then install
+			eng.RunUntil(1_000_000)
+			if !b.resident(7) {
+				t.Fatal("line 7 not installed")
+			}
+			return b
+		}},
+		{name: "cwf", line: 7, split: true, crit: 1, build: func(t *testing.T, eng *sim.Engine) backend {
+			return newCWF(eng, dram.LPDDR2Config(), dram.RLDRAM3WordConfig(), cwfOptions{})
+		}},
+		{name: "cwf-degraded", line: 7, split: true, build: func(t *testing.T, eng *sim.Engine) backend {
+			b := newCWF(eng, dram.LPDDR2Config(), dram.RLDRAM3WordConfig(), cwfOptions{})
+			b.DegradeCrit()
+			return b
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng := &sim.Engine{}
+			b := c.build(t, eng)
+			type delivery struct {
+				what string
+				at   sim.Cycle
+			}
+			var got []delivery
+			n := map[string]int{}
+			at := map[string]sim.Cycle{}
+			record := func(what string) func(*cache.Entry) {
+				return func(*cache.Entry) {
+					got = append(got, delivery{what, eng.Now()})
+					n[what]++
+					at[what] = eng.Now()
+				}
+			}
+			b.setSink(&testSink{onCritF: record("crit"), onReqF: record("req"), onLineF: record("line")})
+			fill(t, b, c.line)
+			eng.RunUntil(eng.Now() + 1_000_000)
+
+			if n["crit"] != c.crit || n["req"] != 1 || n["line"] != 1 {
+				t.Fatalf("deliveries crit/req/line = %d/%d/%d, want %d/1/1 (%v)",
+					n["crit"], n["req"], n["line"], c.crit, got)
+			}
+			tm := b.Groups()[c.group].Cfg.Timing
+			if want := at["line"] - tm.Burst + max(tm.BusCycle/2, 1); at["req"] != want {
+				t.Fatalf("requested word at %d, want the line's first beat %d", at["req"], want)
+			}
+			if c.split {
+				return
+			}
+			for i, d := range got {
+				if d.what == "crit" {
+					if i+1 == len(got) || got[i+1] != (delivery{"req", d.at}) {
+						t.Fatalf("crit at %d not followed by the requested word on the same beat: %v", d.at, got)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestEveryControllerOwnsItsPool pins the request-pool policy: in every
+// organization each controller recycles requests through a pool of its
+// own.
+func TestEveryControllerOwnsItsPool(t *testing.T) {
+	eng := &sim.Engine{}
+	cases := []struct {
+		name string
+		b    backend
+	}{
+		{"unified", newHomogeneous(eng, dram.DDR3Config(), Channels, false)},
+		{"page", newPagePlaced(eng, dram.RLDRAM3Config(), 1, dram.LPDDR2Config(), Channels-1, nil, false)},
+		{"cwf", newCWF(eng, dram.LPDDR2Config(), dram.RLDRAM3WordConfig(), cwfOptions{})},
+		{"cwf-wide", newCWF(eng, dram.LPDDR2Config(), dram.RLDRAM3WordConfig(), cwfOptions{wideRank: true})},
+		{"cwf-private-bus", newCWF(eng, dram.LPDDR2Config(), dram.RLDRAM3WordConfig(), cwfOptions{privateCmdBus: true})},
+		{"dram-cache", newTestDRAMCache(eng)},
+	}
+	for _, c := range cases {
+		owner := map[*memctrl.Pool]string{}
+		for gi, g := range c.b.Groups() {
+			for ci, ctrl := range g.Ctrls {
+				name := fmt.Sprintf("g%d.c%d", gi, ci)
+				if ctrl.Pool == nil {
+					t.Errorf("%s: %s has no pool", c.name, name)
+					continue
+				}
+				if prev, shared := owner[ctrl.Pool]; shared {
+					t.Errorf("%s: %s shares its pool with %s", c.name, name, prev)
+				}
+				owner[ctrl.Pool] = name
+			}
+		}
 	}
 }

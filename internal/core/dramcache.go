@@ -19,11 +19,9 @@ import (
 // tier, plus the cache tier when the line is resident), so evictions
 // never generate dirty traffic.
 type dramCacheBackend struct {
-	eng       *sim.Engine
+	fillPath
 	cacheCtrl []*memctrl.Controller
-	cacheChan []*dram.Channel
 	farCtrl   []*memctrl.Controller
-	farChan   []*dram.Channel
 	groups    []ChannelGroup
 
 	// tags holds lineAddr+1 per set (0 = invalid). Sets interleave
@@ -31,76 +29,30 @@ type dramCacheBackend struct {
 	// channels. Preallocated: the steady state allocates nothing.
 	tags []uint64
 
-	sink fillSink
-
-	hitIssuedFn func(*memctrl.Request)
-	hitDoneFn   func(*memctrl.Request)
-	farIssuedFn func(*memctrl.Request)
-	farDoneFn   func(*memctrl.Request)
-	critH       dcCritDispatch
-	reqWordH    dcReqWordDispatch
-}
-
-// dcCritDispatch delivers the burst-reordered critical beat.
-type dcCritDispatch struct{ b *dramCacheBackend }
-
-func (d dcCritDispatch) OnEvent(arg any) {
-	d.b.sink.onCrit(entryOf(arg.(*memctrl.Request)))
-}
-
-// dcReqWordDispatch delivers the requested word on the same beat.
-type dcReqWordDispatch struct{ b *dramCacheBackend }
-
-func (d dcReqWordDispatch) OnEvent(arg any) {
-	d.b.sink.onReqWord(entryOf(arg.(*memctrl.Request)))
+	farDoneFn func(*memctrl.Request)
 }
 
 // newDRAMCache builds nCache cache channels of cacheCfg holding capMB
 // MB of line cache each, and nFar far channels of farCfg.
 func newDRAMCache(eng *sim.Engine, cacheCfg dram.Config, nCache, capMB int, farCfg dram.Config, nFar int, deepSleep bool) *dramCacheBackend {
-	b := &dramCacheBackend{eng: eng}
-	b.hitIssuedFn = b.hitIssued
-	b.hitDoneFn = b.hitDone
-	b.farIssuedFn = b.farIssued
+	cacheG := newGroup(eng, cacheCfg, nCache, ctrlConfig(cacheCfg.Kind, deepSleep), nil)
+	farG := newGroup(eng, farCfg, nFar, ctrlConfig(farCfg.Kind, deepSleep), nil)
+	b := &dramCacheBackend{
+		cacheCtrl: cacheG.Ctrls,
+		farCtrl:   farG.Ctrls,
+		groups:    []ChannelGroup{cacheG, farG},
+		tags:      make([]uint64, uint64(capMB)<<20/cache.LineSize*uint64(nCache)),
+	}
+	b.init(eng)
 	b.farDoneFn = b.farDone
-	b.critH = dcCritDispatch{b}
-	b.reqWordH = dcReqWordDispatch{b}
-	b.tags = make([]uint64, uint64(capMB)<<20/cache.LineSize*uint64(nCache))
-	for i := 0; i < nCache; i++ {
-		ch := dram.NewChannel(cacheCfg, 1, nil)
-		mc := memctrl.DefaultConfig(cacheCfg.Kind)
-		mc.DeepSleep = deepSleep
-		ctrl := memctrl.New(eng, ch, mc)
-		// Per-controller pools, as in newCWF.
-		ctrl.Pool = new(memctrl.Pool)
-		b.cacheChan = append(b.cacheChan, ch)
-		b.cacheCtrl = append(b.cacheCtrl, ctrl)
-	}
-	for i := 0; i < nFar; i++ {
-		ch := dram.NewChannel(farCfg, 1, nil)
-		mc := memctrl.DefaultConfig(farCfg.Kind)
-		mc.DeepSleep = deepSleep
-		ctrl := memctrl.New(eng, ch, mc)
-		ctrl.Pool = new(memctrl.Pool)
-		b.farChan = append(b.farChan, ch)
-		b.farCtrl = append(b.farCtrl, ctrl)
-	}
-	b.groups = []ChannelGroup{
-		{Kind: cacheCfg.Kind, Cfg: cacheCfg, Chans: b.cacheChan, Ctrls: b.cacheCtrl,
-			DevicesPerAccess: cacheCfg.Geom.DevicesPerRank, DevicesPerRank: cacheCfg.Geom.DevicesPerRank},
-		{Kind: farCfg.Kind, Cfg: farCfg, Chans: b.farChan, Ctrls: b.farCtrl,
-			DevicesPerAccess: farCfg.Geom.DevicesPerRank, DevicesPerRank: farCfg.Geom.DevicesPerRank},
-	}
 	return b
 }
-
-func (b *dramCacheBackend) setSink(s fillSink) { b.sink = s }
 
 // set maps a line address to its direct-mapped set, the cache channel
 // holding that set, and the channel-local address.
 func (b *dramCacheBackend) set(lineAddr uint64) (set uint64, ch int, local uint64) {
 	set = lineAddr % uint64(len(b.tags))
-	n := uint64(len(b.cacheChan))
+	n := uint64(len(b.cacheCtrl))
 	return set, int(set % n), set / n
 }
 
@@ -112,50 +64,30 @@ func (b *dramCacheBackend) resident(lineAddr uint64) bool {
 
 // far maps a line address to its far channel and local address.
 func (b *dramCacheBackend) far(lineAddr uint64) (int, uint64) {
-	n := uint64(len(b.farChan))
+	n := uint64(len(b.farCtrl))
 	return int(lineAddr % n), lineAddr / n
 }
 
-func (b *dramCacheBackend) CanAcceptFill(lineAddr uint64) bool {
+// source is the controller and local address serving a fill of the
+// line: the cache tier when it is resident (hit), the far tier
+// otherwise.
+func (b *dramCacheBackend) source(lineAddr uint64) (ctrl *memctrl.Controller, local uint64, hit bool) {
 	if b.resident(lineAddr) {
-		_, ch, _ := b.set(lineAddr)
-		return b.cacheCtrl[ch].CanAcceptRead()
+		_, ch, local := b.set(lineAddr)
+		return b.cacheCtrl[ch], local, true
 	}
-	ch, _ := b.far(lineAddr)
-	return b.farCtrl[ch].CanAcceptRead()
+	ch, local := b.far(lineAddr)
+	return b.farCtrl[ch], local, false
+}
+
+func (b *dramCacheBackend) CanAcceptFill(lineAddr uint64) bool {
+	ctrl, _, _ := b.source(lineAddr)
+	return ctrl.CanAcceptRead()
 }
 
 func (b *dramCacheBackend) CanAcceptPrefetch(lineAddr uint64) bool {
-	var ctrl *memctrl.Controller
-	if b.resident(lineAddr) {
-		_, ch, _ := b.set(lineAddr)
-		ctrl = b.cacheCtrl[ch]
-	} else {
-		ch, _ := b.far(lineAddr)
-		ctrl = b.farCtrl[ch]
-	}
-	rq, _ := ctrl.QueueDepths()
-	return float64(rq) < prefetchHeadroom*float64(ctrl.Cfg.ReadQueueSize)
-}
-
-// hitIssued schedules critical-beat delivery of a cache-tier read: the
-// burst is reordered so the requested word leads, as on any
-// conventional line channel.
-func (b *dramCacheBackend) hitIssued(r *memctrl.Request) {
-	beat := firstBeat(r, b.cacheChan[r.Tag])
-	b.eng.ScheduleEventAt(beat, b.critH, r)
-	b.eng.ScheduleEventAt(beat, b.reqWordH, r)
-}
-
-func (b *dramCacheBackend) hitDone(r *memctrl.Request) {
-	b.sink.onLine(entryOf(r))
-}
-
-// farIssued schedules critical-beat delivery of a far-tier read.
-func (b *dramCacheBackend) farIssued(r *memctrl.Request) {
-	beat := firstBeat(r, b.farChan[r.Tag])
-	b.eng.ScheduleEventAt(beat, b.critH, r)
-	b.eng.ScheduleEventAt(beat, b.reqWordH, r)
+	ctrl, _, _ := b.source(lineAddr)
+	return prefetchRoom(ctrl)
 }
 
 // farDone installs the missed line into its set (claiming it from
@@ -167,47 +99,22 @@ func (b *dramCacheBackend) farIssued(r *memctrl.Request) {
 func (b *dramCacheBackend) farDone(r *memctrl.Request) {
 	e := entryOf(r)
 	set, ch, local := b.set(e.LineAddr)
-	if b.cacheCtrl[ch].CanAcceptWrite() {
-		w := b.cacheCtrl[ch].Pool.Get()
-		w.Addr = local
-		if b.cacheCtrl[ch].EnqueueWrite(w) {
-			b.tags[set] = e.LineAddr + 1
-		} else {
-			b.cacheCtrl[ch].Pool.Put(w)
-		}
+	if write(b.cacheCtrl[ch], local) {
+		b.tags[set] = e.LineAddr + 1
 	}
 	b.sink.onLine(e)
 }
 
+// IssueFill reads the line from its source; either tier's burst is
+// reordered so the requested word leads, as on any conventional line
+// channel.
 func (b *dramCacheBackend) IssueFill(e *cache.Entry) bool {
-	if b.resident(e.LineAddr) {
-		_, ch, local := b.set(e.LineAddr)
-		req := b.cacheCtrl[ch].Pool.Get()
-		req.Prefetch = e.Prefetch
-		req.Ctx = e
-		req.Addr = local
-		req.Tag = ch
-		req.OnIssue = b.hitIssuedFn
-		req.OnComplete = b.hitDoneFn
-		if !b.cacheCtrl[ch].EnqueueRead(req) {
-			b.cacheCtrl[ch].Pool.Put(req)
-			return false
-		}
-		return true
+	ctrl, local, hit := b.source(e.LineAddr)
+	done := b.farDoneFn
+	if hit {
+		done = b.lineDoneFn
 	}
-	ch, local := b.far(e.LineAddr)
-	req := b.farCtrl[ch].Pool.Get()
-	req.Prefetch = e.Prefetch
-	req.Ctx = e
-	req.Addr = local
-	req.Tag = ch
-	req.OnIssue = b.farIssuedFn
-	req.OnComplete = b.farDoneFn
-	if !b.farCtrl[ch].EnqueueRead(req) {
-		b.farCtrl[ch].Pool.Put(req)
-		return false
-	}
-	return true
+	return read(ctrl, local, e, b.beatFn, done)
 }
 
 func (b *dramCacheBackend) CanAcceptWriteback(lineAddr uint64) bool {
@@ -230,16 +137,12 @@ func (b *dramCacheBackend) IssueWriteback(lineAddr uint64) bool {
 	}
 	if b.resident(lineAddr) {
 		_, ch, local := b.set(lineAddr)
-		w := b.cacheCtrl[ch].Pool.Get()
-		w.Addr = local
-		if !b.cacheCtrl[ch].EnqueueWrite(w) {
+		if !write(b.cacheCtrl[ch], local) {
 			panic("core: cache-tier write enqueue failed after capacity check")
 		}
 	}
 	ch, local := b.far(lineAddr)
-	req := b.farCtrl[ch].Pool.Get()
-	req.Addr = local
-	if !b.farCtrl[ch].EnqueueWrite(req) {
+	if !write(b.farCtrl[ch], local) {
 		panic("core: far-tier write enqueue failed after capacity check")
 	}
 	return true

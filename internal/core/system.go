@@ -124,8 +124,8 @@ func (s *System) registerMetrics() {
 // chipFor selects the energy model for a channel group, including the
 // §6.1.3 deep-sleep LPDDR2 variant.
 func (s *System) chipFor(g ChannelGroup) power.ChipParams {
-	chip := power.ChipFor(g.Kind)
-	if g.Kind == dram.LPDDR2 && s.Cfg.DeepSleepLP {
+	chip := power.ChipFor(g.Cfg.Kind)
+	if g.Cfg.Kind == dram.LPDDR2 && s.Cfg.DeepSleepLP {
 		chip = power.LPDDR2MalladiChip()
 	}
 	return chip
@@ -177,8 +177,8 @@ func groupActivity(eng *sim.Engine, g ChannelGroup) func() power.ChannelActivity
 		now := eng.Now()
 		var a power.ChannelActivity
 		a.Elapsed = now
-		a.DevicesPerRank = g.DevicesPerRank
-		a.DevicesPerAccess = g.DevicesPerAccess
+		a.DevicesPerRank = g.Cfg.Geom.DevicesPerRank
+		a.DevicesPerAccess = g.Cfg.Geom.DevicesPerRank
 		for _, ch := range g.Chans {
 			ch.Finalize(now)
 			a.Acts += ch.Stat.Acts
@@ -258,11 +258,11 @@ func buildBackend(eng *sim.Engine, cfg SystemConfig) backend {
 		hotG, hotCfg := group(topology.RoleHotTier)
 		farG, farCfg := group(topology.RoleFarTier)
 		b := newPagePlaced(eng, hotCfg, hotG.Count, farCfg, farG.Count, cfg.HotPages, cfg.DeepSleepLP)
-		mem, lines = b, b.group[1]
+		mem, lines = b, b.groups[1]
 	default: // ShapeUnified
 		g, lineCfg := group(topology.RoleUnified)
 		b := newHomogeneous(eng, lineCfg, g.Count, cfg.DeepSleepLP)
-		mem, lines = b, b.group[0]
+		mem, lines = b, b.groups[0]
 	}
 	applyLineMapping(lines, cfg.LineMapping)
 	return mem
@@ -537,9 +537,9 @@ func (s *System) collect(v telemetry.View) Results {
 			Reads:        uint64(v.Delta(p + "reads")),
 			Writes:       uint64(v.Delta(p + "writes")),
 			Refreshes:    uint64(v.Delta(p + "refreshes")),
-
-			DevicesPerRank: g.DevicesPerRank, DevicesPerAccess: g.DevicesPerAccess,
 		}
+		act.DevicesPerRank = g.Cfg.Geom.DevicesPerRank
+		act.DevicesPerAccess = g.Cfg.Geom.DevicesPerRank
 		r.DRAMEnergyMJ += power.ChannelEnergyMJ(s.chipFor(g), power.TimingFor(g.Cfg.Timing), act)
 		if gi == 0 {
 			lineBusy = sim.Cycle(v.Delta(p + "data_busy"))

@@ -214,7 +214,7 @@ func TestPagePlacementSystem(t *testing.T) {
 		t.Fatalf("page placement run measured %d reads", r.DemandReads)
 	}
 	groups := sys.mem.Groups()
-	if groups[0].Kind != dram.RLDRAM3 || groups[1].Kind != dram.LPDDR2 {
+	if groups[0].Cfg.Kind != dram.RLDRAM3 || groups[1].Cfg.Kind != dram.LPDDR2 {
 		t.Fatal("page placement groups wrong")
 	}
 }

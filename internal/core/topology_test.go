@@ -82,10 +82,10 @@ func TestDRAMCacheMissInstallsThenHits(t *testing.T) {
 	if !b.resident(7) {
 		t.Fatal("line 7 not installed after miss")
 	}
-	if got := b.farChan[int(7%uint64(Channels))].Stat.Reads; got != 1 {
+	if got := b.Groups()[1].Chans[int(7%uint64(Channels))].Stat.Reads; got != 1 {
 		t.Fatalf("far channel reads = %d, want 1", got)
 	}
-	if got := b.cacheChan[0].Stat.Writes; got != 1 {
+	if got := b.Groups()[0].Chans[0].Stat.Writes; got != 1 {
 		t.Fatalf("cache insertion writes = %d, want 1", got)
 	}
 
@@ -93,7 +93,7 @@ func TestDRAMCacheMissInstallsThenHits(t *testing.T) {
 	fill(t, b, 7)
 	eng.RunUntil(2_000_000)
 	hitLatency := lineAt - start
-	if got := b.cacheChan[0].Stat.Reads; got != 1 {
+	if got := b.Groups()[0].Chans[0].Stat.Reads; got != 1 {
 		t.Fatalf("cache channel reads = %d, want 1 (hit not routed to cache tier)", got)
 	}
 	// The whole point of the tier: a resident line comes back much
@@ -127,7 +127,7 @@ func TestDRAMCacheConflictEvicts(t *testing.T) {
 		t.Fatal("evicted line still reported resident")
 	}
 	var farWrites uint64
-	for _, ch := range b.farChan {
+	for _, ch := range b.Groups()[1].Chans {
 		farWrites += ch.Stat.Writes
 	}
 	if farWrites != 0 {
@@ -148,16 +148,16 @@ func TestDRAMCacheWritebackWritesThrough(t *testing.T) {
 	if !b.resident(9) {
 		t.Fatal("line 9 not installed")
 	}
-	cacheWrites := b.cacheChan[0].Stat.Writes
+	cacheWrites := b.Groups()[0].Chans[0].Stat.Writes
 	if !b.IssueWriteback(9) {
 		t.Fatal("writeback of resident line rejected")
 	}
 	eng.RunUntil(2_000_000)
 	farCh, _ := b.far(9)
-	if got := b.farChan[farCh].Stat.Writes; got != 1 {
+	if got := b.Groups()[1].Chans[farCh].Stat.Writes; got != 1 {
 		t.Fatalf("far-tier writes = %d, want 1", got)
 	}
-	if got := b.cacheChan[0].Stat.Writes; got != cacheWrites+1 {
+	if got := b.Groups()[0].Chans[0].Stat.Writes; got != cacheWrites+1 {
 		t.Fatalf("cache-tier writes = %d, want %d (resident copy not updated)", got, cacheWrites+1)
 	}
 	if !b.resident(9) {
@@ -169,7 +169,7 @@ func TestDRAMCacheWritebackWritesThrough(t *testing.T) {
 		t.Fatal("writeback of non-resident line rejected")
 	}
 	eng.RunUntil(3_000_000)
-	if got := b.cacheChan[0].Stat.Writes; got != cacheWrites+1 {
+	if got := b.Groups()[0].Chans[0].Stat.Writes; got != cacheWrites+1 {
 		t.Fatalf("non-resident writeback touched the cache tier (%d writes)", got)
 	}
 }

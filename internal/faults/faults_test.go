@@ -265,8 +265,8 @@ func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"bogus=1",
 		"crit.bit=nope",
-		"crit.bit=2",   // rate outside [0,1] caught by Validate
-		"crit.bit=-1",  // ditto
+		"crit.bit=2",  // rate outside [0,1] caught by Validate
+		"crit.bit=-1", // ditto
 		"seed=abc",
 		"@x flip crit",
 		"@10 zap crit",

@@ -10,10 +10,10 @@ import (
 )
 
 // Request is one DRAM transaction. Reads invoke OnComplete when the last
-// data beat leaves the bus; DataStart lets the caller compute when the
-// critical beat arrived (conventional burst-reorder critical-word-first
-// puts the requested word on the first beat). Writes are posted: they
-// complete (from the producer's view) on enqueue and drain later.
+// data beat leaves the bus; FirstBeat is when the critical beat arrived
+// (conventional burst-reorder critical-word-first puts the requested
+// word on the first beat). Writes are posted: they complete (from the
+// producer's view) on enqueue and drain later.
 type Request struct {
 	Addr     uint64 // channel-local unit address
 	Kind     dram.AccessKind
@@ -24,6 +24,7 @@ type Request struct {
 	Arrive    sim.Cycle
 	IssueAt   sim.Cycle
 	DataStart sim.Cycle
+	FirstBeat sim.Cycle // first data beat on the pins: one DDR beat after DataStart
 	DataEnd   sim.Cycle
 
 	openedRow bool // this request triggered its own ACT (row miss)
@@ -38,21 +39,20 @@ type Request struct {
 	seqNo              uint64
 
 	// OnIssue fires synchronously when the column access issues, with
-	// DataStart and DataEnd filled in: the hook the cache hierarchy
-	// uses to schedule first-beat (critical-word) delivery.
+	// DataStart, FirstBeat and DataEnd filled in: the hook the cache
+	// hierarchy uses to schedule first-beat (critical-word) delivery.
 	//
-	// Hot callers assign a preallocated func value (a method value built
-	// once at construction) rather than a fresh closure, and pass
-	// per-request context through Ctx/Tag.
+	// Hot callers assign a preallocated func value (built once at
+	// construction) rather than a fresh closure, and pass per-request
+	// context through Ctx.
 	OnIssue func(*Request)
 	// OnComplete fires (via the engine) at DataEnd for reads.
 	OnComplete func(*Request)
 
-	// Ctx and Tag carry opaque caller context (e.g. the MSHR entry and
-	// the channel index) so the callbacks above can be shared, already-
-	// allocated func values instead of per-request closures.
+	// Ctx carries opaque caller context (e.g. the MSHR entry) so the
+	// callbacks above can be shared, already-allocated func values
+	// instead of per-request closures.
 	Ctx any
-	Tag int
 }
 
 // Config tunes one controller.
@@ -821,6 +821,7 @@ func (c *Controller) traceCmd(op byte, at sim.Cycle, rk, bk int, row int64) {
 func (c *Controller) finishIssue(r *Request, now, dataStart sim.Cycle, isWrite bool) {
 	r.IssueAt = now
 	r.DataStart = dataStart
+	r.FirstBeat = dataStart + max(c.Ch.Cfg.Timing.BusCycle/2, 1)
 	r.DataEnd = dataStart + c.Ch.Cfg.Timing.Burst
 	if isWrite {
 		c.wrq.unlink(r, c.bankIndex(r.Coord))

@@ -327,6 +327,11 @@ func TestAllReadsCompleteProperty(t *testing.T) {
 				if r.IssueAt < r.Arrive || r.DataStart < r.IssueAt || r.DataEnd <= r.DataStart {
 					ok = false
 				}
+				// The first beat lands one DDR beat into the burst.
+				if r.FirstBeat <= r.DataStart || r.FirstBeat > r.DataEnd ||
+					r.FirstBeat != r.DataStart+max(c.Ch.Cfg.Timing.BusCycle/2, 1) {
+					ok = false
+				}
 			}}
 			delay := sim.Cycle(i * 3)
 			eng.ScheduleEvent(delay, call(func() {
