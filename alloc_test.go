@@ -20,9 +20,10 @@ const allocBudget = 6000
 // a fixed run. It guards the zero-allocation event kernel: monomorphic
 // heap, pooled requests/MSHR entries, and preallocated handlers. The
 // run samples telemetry epochs every 10k cycles, so the budget also
-// covers the registry snapshot path and the in-memory epoch sink —
-// metric registration happens at construction and sampling writes into
-// preallocated rows, so an active sampler must fit the same ceiling.
+// covers the registry snapshot path and the recorded epoch series —
+// metric registration happens at construction and sampling appends
+// into amortized storage, so an active sampler must fit the same
+// ceiling.
 func TestAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-system run; skipped in -short mode")

@@ -15,7 +15,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -26,6 +25,7 @@ import (
 	"hetsim/internal/profiling"
 	"hetsim/internal/sim"
 	"hetsim/internal/store"
+	"hetsim/internal/telemetry"
 )
 
 func main() {
@@ -384,17 +384,9 @@ func main() {
 			fmt.Println(s)
 		}
 	}
-	if *epochCSV != "" {
-		if err := writeEpochs(*epochCSV, r.WriteEpochCSV); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-	}
-	if *epochJSONL != "" {
-		if err := writeEpochs(*epochJSONL, r.WriteEpochJSONL); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
+	if err := telemetry.WriteFiles(*epochCSV, *epochJSONL, []string{"config", "bench"}, r.Epochs()); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
 
 	if cache != nil {
@@ -419,17 +411,4 @@ func topoConfig(item string) (hetsim.Config, error) {
 		return hetsim.Config{}, err
 	}
 	return cfg, nil
-}
-
-// writeEpochs dumps the runner's recorded epoch series to a file.
-func writeEpochs(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

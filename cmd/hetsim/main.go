@@ -13,29 +13,17 @@
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"hetsim"
 	"hetsim/internal/grid"
 	"hetsim/internal/sim"
+	"hetsim/internal/telemetry"
 	"hetsim/internal/trace"
 )
-
-// configByName and scaleByName delegate to the shared grid tables so
-// every CLI (and the sweepd job server) resolves the same names to the
-// same configurations.
-func configByName(name string, cores int) (hetsim.Config, error) {
-	return grid.Config(name, cores)
-}
-
-func scaleByName(name string) (hetsim.Scale, error) {
-	return grid.Scale(name)
-}
 
 func main() {
 	bench := flag.String("bench", "mcf", "benchmark name (see -list)")
@@ -47,8 +35,8 @@ func main() {
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	traceFile := flag.String("trace", "", "write a CSV fill trace to this file")
 	epochInterval := flag.Int64("epoch-interval", 0, "sample telemetry every N cycles of the measured window (0 = off)")
-	epochCSV := flag.String("epoch-csv", "", "stream the per-epoch time-series as CSV to this file (needs -epoch-interval)")
-	epochJSONL := flag.String("epoch-jsonl", "", "stream the per-epoch time-series as JSON lines to this file (needs -epoch-interval)")
+	epochCSV := flag.String("epoch-csv", "", "write the per-epoch time-series as CSV to this file (needs -epoch-interval)")
+	epochJSONL := flag.String("epoch-jsonl", "", "write the per-epoch time-series as JSON lines to this file (needs -epoch-interval)")
 	flag.Parse()
 
 	if *list {
@@ -58,7 +46,7 @@ func main() {
 		return
 	}
 
-	cfg, err := configByName(*config, *cores)
+	cfg, err := grid.Config(*config, *cores)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hetsim:", err)
 		os.Exit(2)
@@ -69,7 +57,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	scale, err := scaleByName(*scaleName)
+	scale, err := grid.Scale(*scaleName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hetsim:", err)
 		os.Exit(2)
@@ -103,82 +91,25 @@ func main() {
 		os.Exit(2)
 	}
 	scale.EpochInterval = sim.Cycle(*epochInterval)
-	// The streaming sinks attach to the shared system; with -pair the
-	// alone-reference runs never sample (see core.RunPair).
-	var epochFiles []*os.File
-	openSink := func(path string, mk func(io.Writer) hetsim.EpochSink) hetsim.EpochSink {
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hetsim:", err)
-			os.Exit(1)
-		}
-		epochFiles = append(epochFiles, f)
-		return mk(f)
-	}
 
 	var res hetsim.Results
 	if *pair {
-		// RunPair builds its systems internally; write the recorded
-		// series after the fact instead of streaming.
 		res, err = hetsim.RunPair(cfg, *bench, scale)
-		if err == nil && res.Epochs != nil {
-			if *epochCSV != "" {
-				f, ferr := os.Create(*epochCSV)
-				if ferr == nil {
-					cw := csv.NewWriter(f)
-					ferr = res.Epochs.WriteCSV(cw, true, nil, nil)
-					cw.Flush()
-					if ferr == nil {
-						ferr = cw.Error()
-					}
-					if cerr := f.Close(); ferr == nil {
-						ferr = cerr
-					}
-				}
-				if ferr != nil {
-					fmt.Fprintln(os.Stderr, "hetsim: epoch-csv:", ferr)
-					os.Exit(1)
-				}
-			}
-			if *epochJSONL != "" {
-				f, ferr := os.Create(*epochJSONL)
-				if ferr == nil {
-					ferr = res.Epochs.WriteJSONL(f, nil, nil)
-					if cerr := f.Close(); ferr == nil {
-						ferr = cerr
-					}
-				}
-				if ferr != nil {
-					fmt.Fprintln(os.Stderr, "hetsim: epoch-jsonl:", ferr)
-					os.Exit(1)
-				}
-			}
-		}
 	} else {
 		var sys *hetsim.System
-		sys, err = hetsim.NewSystem(cfg, *bench)
-		if err == nil {
-			if *epochCSV != "" {
-				sys.AddEpochSink(openSink(*epochCSV, hetsim.NewEpochCSVSink))
-			}
-			if *epochJSONL != "" {
-				sys.AddEpochSink(openSink(*epochJSONL, hetsim.NewEpochJSONLSink))
-			}
+		if sys, err = hetsim.NewSystem(cfg, *bench); err == nil {
 			res = sys.Run(scale)
-			if serr := sys.EpochSinkError(); serr != nil {
-				fmt.Fprintln(os.Stderr, "hetsim: epoch sink:", serr)
-				os.Exit(1)
-			}
-			for _, f := range epochFiles {
-				if cerr := f.Close(); cerr != nil {
-					fmt.Fprintln(os.Stderr, "hetsim: epoch sink:", cerr)
-					os.Exit(1)
-				}
-			}
 		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hetsim:", err)
+		os.Exit(1)
+	}
+	// With -pair the alone-reference runs never sample (see
+	// core.RunPair), so res.Epochs is the shared run's series.
+	if err := telemetry.WriteFiles(*epochCSV, *epochJSONL, nil,
+		[]telemetry.Run{{Series: res.Epochs}}); err != nil {
+		fmt.Fprintln(os.Stderr, "hetsim: epochs:", err)
 		os.Exit(1)
 	}
 

@@ -30,6 +30,7 @@ import (
 	"hetsim/internal/runpool"
 	"hetsim/internal/sim"
 	"hetsim/internal/store"
+	"hetsim/internal/telemetry"
 )
 
 func main() {
@@ -92,14 +93,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	w := stdout
+	var outFile *os.File
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if outFile, err = os.Create(*out); err != nil {
 			return err
 		}
-		defer f.Close()
-		w = f
+		defer outFile.Close()
+		w = outFile
 	}
+	// The deferred flush keeps the rows finished before an early error;
+	// the success path flushes and closes explicitly to report a failed
+	// write.
 	cw := csv.NewWriter(w)
 	defer cw.Flush()
 
@@ -172,73 +176,38 @@ func run(args []string, stdout, stderr io.Writer) error {
 		})
 	}
 
-	// Epoch time-series riders: collected in grid order alongside the
-	// summary rows, written after the grid completes so streams stay
-	// deterministic at any -j.
-	type epochPoint struct {
-		value  string
-		series *hetsim.EpochSeries
-	}
-	var epochs []epochPoint
-	wroteHeader := false
+	// Collect rows and epoch series in grid order, so both are
+	// byte-identical at any -j; epoch files are written after the grid
+	// completes.
+	var epochs []telemetry.Run
 	for i, vs := range vals {
 		res, err := tasks[i].Wait()
 		if err != nil {
 			return err
 		}
-		if !wroteHeader {
+		if i == 0 {
 			if err := cw.Write(append([]string{"param", "value"}, res.CSVHeader()...)); err != nil {
 				return err
 			}
-			wroteHeader = true
 		}
 		if err := cw.Write(append([]string{*param, vs}, res.CSVRow()...)); err != nil {
 			return err
 		}
 		if res.Epochs != nil {
-			epochs = append(epochs, epochPoint{value: vs, series: res.Epochs})
+			epochs = append(epochs, telemetry.Run{Labels: []string{*param, vs}, Series: res.Epochs})
 		}
 	}
-
-	if *epochCSV != "" {
-		f, err := os.Create(*epochCSV)
-		if err != nil {
-			return err
-		}
-		ecw := csv.NewWriter(f)
-		var prev *hetsim.EpochSeries
-		for _, p := range epochs {
-			// Grid points share a header until the column signature
-			// changes (e.g. a cores sweep changing cpu column count).
-			header := prev == nil || !prev.SameCols(p.series)
-			if err := p.series.WriteCSV(ecw, header, []string{"param", "value"},
-				[]string{*param, p.value}); err != nil {
-				return err
-			}
-			prev = p.series
-		}
-		ecw.Flush()
-		if err := ecw.Error(); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		return err
+	}
+	if outFile != nil {
+		if err := outFile.Close(); err != nil {
 			return err
 		}
 	}
-	if *epochJSONL != "" {
-		f, err := os.Create(*epochJSONL)
-		if err != nil {
-			return err
-		}
-		for _, p := range epochs {
-			if err := p.series.WriteJSONL(f, []string{"param", "value"},
-				[]string{*param, p.value}); err != nil {
-				return err
-			}
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	if err := telemetry.WriteFiles(*epochCSV, *epochJSONL, []string{"param", "value"}, epochs); err != nil {
+		return err
 	}
 
 	// The cache summary goes to stderr — and only with -cache-dir — so

@@ -109,3 +109,20 @@ func TestSweepBadFlags(t *testing.T) {
 		t.Fatal("unknown param accepted")
 	}
 }
+
+// TestSweepOutputWriteError: a summary CSV that cannot be written is an
+// error, not a silent exit 0 with nothing on disk.
+func TestSweepOutputWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	var out, errb bytes.Buffer
+	args := []string{
+		"-bench", "libquantum", "-config", "rl",
+		"-param", "reads", "-values", "200",
+		"-scale", "quick", "-o", "/dev/full",
+	}
+	if err := run(args, &out, &errb); err == nil {
+		t.Fatal("writing -o /dev/full reported success")
+	}
+}

@@ -690,7 +690,7 @@ func (s *Server) complete(j *job, c *cell, res hetsim.Results, err error) {
 	var chunk []byte
 	if err == nil && res.Epochs != nil {
 		// The cell identity is spliced into every JSONL record through
-		// the same extra-column path the CLI sinks use, so a stream
+		// the same label-column path the CLI epoch files use, so a stream
 		// carrying many cells stays self-describing line by line.
 		var buf bytes.Buffer
 		if werr := res.Epochs.WriteJSONL(&buf,

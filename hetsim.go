@@ -26,7 +26,6 @@ package hetsim
 
 import (
 	"fmt"
-	"io"
 
 	"hetsim/internal/core"
 	"hetsim/internal/exp"
@@ -168,27 +167,9 @@ func (s *System) Run(scale Scale) Results { return s.inner.Run(scale) }
 // EpochSeries is a per-epoch telemetry time-series (Results.Epochs):
 // one row per Scale.EpochInterval cycles of the measured window, with
 // columns for IPC, queue depths, MSHR occupancy, CWF early-wake gap,
-// fault counters, and per-channel-group energy.
+// fault counters, and per-channel-group energy. Its WriteCSV and
+// WriteJSONL methods write it out.
 type EpochSeries = telemetry.Series
-
-// EpochSink receives epoch rows during a run; see NewEpochCSVSink and
-// NewEpochJSONLSink for the streaming writers, flushed outside the
-// timed path.
-type EpochSink = telemetry.Sink
-
-// NewEpochCSVSink returns a buffered sink streaming epoch rows as CSV.
-func NewEpochCSVSink(w io.Writer) EpochSink { return telemetry.NewCSVSink(w) }
-
-// NewEpochJSONLSink returns a buffered sink streaming epoch rows as
-// one JSON object per line.
-func NewEpochJSONLSink(w io.Writer) EpochSink { return telemetry.NewJSONLSink(w) }
-
-// AddEpochSink attaches a streaming sink fed on the next Run with a
-// positive Scale.EpochInterval.
-func (s *System) AddEpochSink(k EpochSink) { s.inner.AddEpochSink(k) }
-
-// EpochSinkError reports the first sink flush failure of the last Run.
-func (s *System) EpochSinkError() error { return s.inner.EpochSinkError() }
 
 // Metrics lists the system's registered telemetry metric names in
 // column order.

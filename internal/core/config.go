@@ -385,9 +385,8 @@ type RunScale struct {
 
 	// EpochInterval enables the telemetry epoch sampler for the
 	// measured window: every EpochInterval cycles one row of per-epoch
-	// metrics is recorded into Results.Epochs (and any sinks attached
-	// with System.AddEpochSink). 0 disables sampling; summary Results
-	// are identical either way.
+	// metrics is recorded into Results.Epochs. 0 disables sampling;
+	// summary Results are identical either way.
 	EpochInterval sim.Cycle
 }
 

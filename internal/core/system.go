@@ -30,10 +30,8 @@ type System struct {
 	// summary (collect) and the epoch sampler read from it.
 	Reg *telemetry.Registry
 
-	epochSinks []telemetry.Sink
 	sampler    *telemetry.Sampler
 	nextSample sim.Cycle
-	flushErr   error
 
 	// wakeSig counts memory-response wakes delivered to any core; drive
 	// compares it across engine runs to skip the per-core scan on
@@ -211,15 +209,6 @@ func ctrlSum(groups []ChannelGroup, pick func(*stats.LatencyBreakdown) *stats.Me
 		return sum, float64(n)
 	}
 }
-
-// AddEpochSink attaches a streaming sink (CSV, JSONL) that receives
-// epoch rows on the next Run with a positive Scale.EpochInterval.
-// Sinks are flushed after the measured window, outside the timed path;
-// a flush failure is reported by EpochSinkError.
-func (s *System) AddEpochSink(k telemetry.Sink) { s.epochSinks = append(s.epochSinks, k) }
-
-// EpochSinkError reports the first sink flush error of the last Run.
-func (s *System) EpochSinkError() error { return s.flushErr }
 
 // buildBackend assembles the memory organization of a validated config
 // from the groups of its topology. The line-bearing group (line,
@@ -432,12 +421,8 @@ func (s *System) Run(scale RunScale) Results {
 
 	// Arm the epoch sampler for the measured window only: warmup never
 	// produces epochs, and summary results are sampled-independent.
-	var epochMem *telemetry.MemorySink
-	s.flushErr = nil
 	if scale.EpochInterval > 0 {
-		epochMem = telemetry.NewMemorySink()
-		sinks := append([]telemetry.Sink{epochMem}, s.epochSinks...)
-		s.sampler = telemetry.NewSampler(s.Reg, scale.EpochInterval, sinks...)
+		s.sampler = telemetry.NewSampler(s.Reg, scale.EpochInterval)
 		s.sampler.Reset(start.Cycle)
 		s.nextSample = start.Cycle + scale.EpochInterval
 	}
@@ -449,8 +434,7 @@ func (s *System) Run(scale RunScale) Results {
 
 	res := s.collect(telemetry.NewView(s.Reg, start, end))
 	if s.sampler != nil {
-		s.flushErr = s.sampler.Flush()
-		res.Epochs = epochMem.Series()
+		res.Epochs = s.sampler.Series()
 		s.sampler = nil
 	}
 	return res

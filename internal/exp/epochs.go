@@ -1,86 +1,32 @@
 package exp
 
 import (
-	"encoding/csv"
-	"io"
-	"sort"
+	"slices"
 
 	"hetsim/internal/telemetry"
 )
 
-// epochRecord pairs one distinct run's epoch time-series with its
-// identity. Records are captured as runs complete (nondeterministic
-// order under parallelism) and sorted at write time, so epoch output
-// is byte-identical at any worker count.
-type epochRecord struct {
-	config string
-	bench  string
-	series *telemetry.Series
-}
-
-// recordEpochs saves a completed run's series. The run pool memoizes
-// each distinct (config, benchmark) execution, so every run records at
-// most once no matter how many figures share it.
+// recordEpochs saves a completed run's series labelled by config and
+// benchmark. The run pool memoizes each distinct (config, benchmark)
+// execution, so every run records at most once no matter how many
+// figures share it.
 func (r *Runner) recordEpochs(config, bench string, s *telemetry.Series) {
 	if s == nil || s.NumRows() == 0 {
 		return
 	}
 	r.epochMu.Lock()
-	r.epochs = append(r.epochs, epochRecord{config: config, bench: bench, series: s})
+	r.epochs = append(r.epochs, telemetry.Run{Labels: []string{config, bench}, Series: s})
 	r.epochMu.Unlock()
 }
 
-// sortedEpochs snapshots the records ordered by (config, benchmark).
-func (r *Runner) sortedEpochs() []epochRecord {
+// Epochs returns every recorded epoch series labelled (config, bench)
+// and sorted by those labels. Runs complete in a nondeterministic order
+// under parallelism; the sort makes epoch files byte-identical at any
+// worker count. Write them with telemetry.WriteFiles.
+func (r *Runner) Epochs() []telemetry.Run {
 	r.epochMu.Lock()
-	recs := append([]epochRecord(nil), r.epochs...)
+	runs := append([]telemetry.Run(nil), r.epochs...)
 	r.epochMu.Unlock()
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].config != recs[j].config {
-			return recs[i].config < recs[j].config
-		}
-		return recs[i].bench < recs[j].bench
-	})
-	return recs
-}
-
-// HasEpochs reports whether any completed run produced an epoch
-// series (i.e. the sweep ran with Scale.EpochInterval > 0).
-func (r *Runner) HasEpochs() bool {
-	r.epochMu.Lock()
-	defer r.epochMu.Unlock()
-	return len(r.epochs) > 0
-}
-
-// WriteEpochCSV writes every recorded epoch series as CSV rows
-// prefixed by config and benchmark columns. Configurations with
-// different memory organizations expose different metric columns
-// (e.g. one channel group vs. two), so a fresh header row is emitted
-// whenever the column signature changes between sorted records.
-func (r *Runner) WriteEpochCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	var prev *telemetry.Series
-	for _, rec := range r.sortedEpochs() {
-		header := prev == nil || !prev.SameCols(rec.series)
-		if err := rec.series.WriteCSV(cw, header, []string{"config", "bench"},
-			[]string{rec.config, rec.bench}); err != nil {
-			return err
-		}
-		prev = rec.series
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteEpochJSONL writes every recorded epoch series as JSON lines,
-// each self-describing with "config" and "bench" fields — the format
-// to reach for when configs have heterogeneous columns.
-func (r *Runner) WriteEpochJSONL(w io.Writer) error {
-	for _, rec := range r.sortedEpochs() {
-		if err := rec.series.WriteJSONL(w, []string{"config", "bench"},
-			[]string{rec.config, rec.bench}); err != nil {
-			return err
-		}
-	}
-	return nil
+	slices.SortFunc(runs, func(a, b telemetry.Run) int { return slices.Compare(a.Labels, b.Labels) })
+	return runs
 }

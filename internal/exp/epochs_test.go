@@ -1,12 +1,14 @@
 package exp
 
 import (
-	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"hetsim/internal/core"
+	"hetsim/internal/telemetry"
 )
 
 // epochOpts is the determinism sweep with the epoch sampler armed.
@@ -36,17 +38,31 @@ func runEpochSweep(t *testing.T, workers int) (map[string]core.Results, string, 
 			out[cfg.Name+"/"+b] = res
 		}
 	}
-	if !r.HasEpochs() {
+	if len(r.Epochs()) == 0 {
 		t.Fatal("sweep ran with EpochInterval set but recorded no epochs")
 	}
-	var csvBuf, jsonlBuf bytes.Buffer
-	if err := r.WriteEpochCSV(&csvBuf); err != nil {
+	csv, jsonl := writeEpochFiles(t, r)
+	return out, csv, jsonl
+}
+
+// writeEpochFiles writes the runner's epochs the way cmd/experiments
+// does and returns the CSV and JSONL file contents.
+func writeEpochFiles(t *testing.T, r *Runner) (csv, jsonl string) {
+	t.Helper()
+	dir := t.TempDir()
+	csvPath, jsonlPath := filepath.Join(dir, "epochs.csv"), filepath.Join(dir, "epochs.jsonl")
+	if err := telemetry.WriteFiles(csvPath, jsonlPath, []string{"config", "bench"}, r.Epochs()); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteEpochJSONL(&jsonlBuf); err != nil {
+	csvB, err := os.ReadFile(csvPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return out, csvBuf.String(), jsonlBuf.String()
+	jsonlB, err := os.ReadFile(jsonlPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(csvB), string(jsonlB)
 }
 
 // TestEpochDeterminism extends the engine's bit-identity invariant to
@@ -102,11 +118,10 @@ func TestEpochsOffByDefault(t *testing.T) {
 	if _, err := r.Run(core.RL(0), "libquantum"); err != nil {
 		t.Fatal(err)
 	}
-	if r.HasEpochs() {
-		t.Error("epochs recorded with EpochInterval = 0")
+	if n := len(r.Epochs()); n != 0 {
+		t.Errorf("%d epoch series recorded with EpochInterval = 0", n)
 	}
-	var buf bytes.Buffer
-	if err := r.WriteEpochCSV(&buf); err != nil || buf.Len() != 0 {
-		t.Errorf("WriteEpochCSV wrote %d bytes (err %v) with no epochs", buf.Len(), err)
+	if csv, jsonl := writeEpochFiles(t, r); csv != "" || jsonl != "" {
+		t.Errorf("epoch files hold %d CSV and %d JSONL bytes with no epochs", len(csv), len(jsonl))
 	}
 }

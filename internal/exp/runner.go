@@ -23,6 +23,7 @@ import (
 	"hetsim/internal/faults"
 	"hetsim/internal/runpool"
 	"hetsim/internal/store"
+	"hetsim/internal/telemetry"
 	"hetsim/internal/workload"
 )
 
@@ -104,7 +105,7 @@ type Runner struct {
 	done  int
 
 	epochMu sync.Mutex
-	epochs  []epochRecord
+	epochs  []telemetry.Run
 }
 
 // NewRunner builds a runner.

@@ -112,26 +112,15 @@ func TestStoreColdWarmEquivalence(t *testing.T) {
 
 	// Epoch riders must be identical too: the warm runner records the
 	// stored series under each hit.
-	var b1, b2 bytesBuffer
-	if err := r1.WriteEpochJSONL(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.WriteEpochJSONL(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if len(b1.b) == 0 {
+	_, j1 := writeEpochFiles(t, r1)
+	_, j2 := writeEpochFiles(t, r2)
+	if j1 == "" {
 		t.Fatal("no epoch output recorded")
 	}
-	if string(b1.b) != string(b2.b) {
+	if j1 != j2 {
 		t.Fatal("warm epoch JSONL diverged from cold")
 	}
 }
-
-// bytesBuffer is a minimal io.Writer (avoiding a bytes import dance in
-// table-driven helpers).
-type bytesBuffer struct{ b []byte }
-
-func (w *bytesBuffer) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
 
 // TestStoreCorruptEntryReruns corrupts one cached entry and asserts
 // the next sweep silently re-runs that cell — and only that cell —

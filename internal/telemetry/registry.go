@@ -1,9 +1,8 @@
 // Package telemetry is the simulator's unified metrics layer: a typed
 // registry that components self-register into at construction time, an
-// epoch sampler that turns registry snapshots into per-epoch
-// time-series rows without allocating in steady state, and pluggable
-// sinks (in-memory for tests, buffered CSV and JSONL writers for
-// tools) that are flushed outside the timed path.
+// epoch sampler that records registry snapshots as a per-epoch
+// time-series, allocating only its amortized growth, and CSV and JSONL
+// writers for that series, used after the run.
 //
 // The registry holds *probes*, not storage: components keep their
 // plain counter fields and hot-path increments exactly as before, and
