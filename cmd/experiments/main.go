@@ -57,18 +57,9 @@ func main() {
 	}
 	defer stopProf()
 
-	var scale hetsim.Scale
-	switch *scaleName {
-	case "quick":
-		scale = hetsim.QuickScale()
-	case "test":
-		scale = hetsim.TestScale()
-	case "bench":
-		scale = hetsim.BenchScale()
-	case "paper":
-		scale = hetsim.PaperScale()
-	default:
-		fmt.Fprintln(os.Stderr, "experiments: unknown scale", *scaleName)
+	scale, err := grid.Scale(*scaleName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
 

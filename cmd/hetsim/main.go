@@ -20,7 +20,6 @@ import (
 
 	"hetsim"
 	"hetsim/internal/grid"
-	"hetsim/internal/sim"
 	"hetsim/internal/telemetry"
 	"hetsim/internal/trace"
 )
@@ -46,22 +45,24 @@ func main() {
 		return
 	}
 
-	cfg, err := grid.Config(*config, *cores)
+	if (*epochCSV != "" || *epochJSONL != "") && *epochInterval <= 0 {
+		fmt.Fprintln(os.Stderr, "hetsim: -epoch-csv/-epoch-jsonl need -epoch-interval > 0")
+		os.Exit(2)
+	}
+	cells, err := grid.Sweep{
+		Config:        *config,
+		Benchmarks:    []string{*bench},
+		Topology:      *topo,
+		Scale:         *scaleName,
+		Cores:         *cores,
+		Pair:          *pair,
+		EpochInterval: *epochInterval,
+	}.Cells()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hetsim:", err)
 		os.Exit(2)
 	}
-	if *topo != "" {
-		if err := grid.ApplyTopology(&cfg, *topo); err != nil {
-			fmt.Fprintln(os.Stderr, "hetsim:", err)
-			os.Exit(2)
-		}
-	}
-	scale, err := grid.Scale(*scaleName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hetsim:", err)
-		os.Exit(2)
-	}
+	cell := cells[0]
 
 	var tw *trace.Writer
 	if *traceFile != "" {
@@ -72,7 +73,7 @@ func main() {
 		}
 		defer f.Close()
 		tw = trace.NewWriter(f)
-		cfg.TraceFn = func(r trace.Record) {
+		cell.Cfg.TraceFn = func(r trace.Record) {
 			if err := tw.Write(r); err != nil {
 				fmt.Fprintln(os.Stderr, "hetsim: trace:", err)
 				os.Exit(1)
@@ -86,21 +87,7 @@ func main() {
 		}()
 	}
 
-	if (*epochCSV != "" || *epochJSONL != "") && *epochInterval <= 0 {
-		fmt.Fprintln(os.Stderr, "hetsim: -epoch-csv/-epoch-jsonl need -epoch-interval > 0")
-		os.Exit(2)
-	}
-	scale.EpochInterval = sim.Cycle(*epochInterval)
-
-	var res hetsim.Results
-	if *pair {
-		res, err = hetsim.RunPair(cfg, *bench, scale)
-	} else {
-		var sys *hetsim.System
-		if sys, err = hetsim.NewSystem(cfg, *bench); err == nil {
-			res = sys.Run(scale)
-		}
-	}
+	res, err := cell.Run()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hetsim:", err)
 		os.Exit(1)

@@ -28,7 +28,6 @@ import (
 	"hetsim/internal/grid"
 	"hetsim/internal/profiling"
 	"hetsim/internal/runpool"
-	"hetsim/internal/sim"
 	"hetsim/internal/store"
 	"hetsim/internal/telemetry"
 )
@@ -74,14 +73,35 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	defer stopProf()
 
-	scale, err := grid.Scale(*scaleName)
-	if err != nil {
-		return err
-	}
 	if (*epochCSV != "" || *epochJSONL != "") && *epochInterval <= 0 {
 		return fmt.Errorf("-epoch-csv/-epoch-jsonl need -epoch-interval > 0")
 	}
-	scale.EpochInterval = sim.Cycle(*epochInterval)
+	var baseFaults hetsim.FaultConfig
+	if *faultSpec != "" {
+		fc, err := hetsim.ParseFaults(*faultSpec)
+		if err != nil {
+			return err
+		}
+		baseFaults = fc
+	}
+	if *faultSeed != 0 {
+		baseFaults.Seed = *faultSeed
+	}
+	cells, err := grid.Sweep{
+		Config:        *config,
+		Benchmarks:    []string{*bench},
+		Topology:      *topo,
+		Param:         *param,
+		Values:        strings.Split(*values, ","),
+		Scale:         *scaleName,
+		Cores:         8,
+		Pair:          *pair,
+		EpochInterval: *epochInterval,
+		Faults:        baseFaults,
+	}.Cells()
+	if err != nil {
+		return err
+	}
 
 	var cache *store.Store
 	if *cacheDir != "" {
@@ -107,65 +127,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cw := csv.NewWriter(w)
 	defer cw.Flush()
 
-	// Build every grid point first, then fan the runs across the pool
-	// and collect rows in grid order, so the CSV is byte-identical at
-	// any -j.
-	var vals []string
-	for _, vs := range strings.Split(*values, ",") {
-		vals = append(vals, strings.TrimSpace(vs))
-	}
-	var baseFaults hetsim.FaultConfig
-	if *faultSpec != "" {
-		fc, err := hetsim.ParseFaults(*faultSpec)
-		if err != nil {
-			return err
-		}
-		baseFaults = fc
-	}
-	if *faultSeed != 0 {
-		baseFaults.Seed = *faultSeed
-	}
-
+	// Fan the grid's runs across the pool.
 	pool := runpool.New[int, hetsim.Results](*workers)
-	tasks := make([]*runpool.Task[hetsim.Results], len(vals))
-	for i, vs := range vals {
-		cfg, err := grid.Config(*config, 8)
-		if err != nil {
-			return err
-		}
-		if *topo != "" {
-			if err := grid.ApplyTopology(&cfg, *topo); err != nil {
-				return err
-			}
-		}
-		cfg.Faults = baseFaults
-		runScale := scale
-		if err := grid.Apply(&cfg, &runScale, *param, vs); err != nil {
-			return err
-		}
-
+	tasks := make([]*runpool.Task[hetsim.Results], len(cells))
+	for i, c := range cells {
 		tasks[i] = pool.Submit(i, func() (hetsim.Results, error) {
 			// Disk tier: a verified cache entry replaces the run.
 			var sk store.RunKey
 			if cache != nil {
-				sk = store.RunKey{Cfg: cfg.Key(), Bench: *bench, Scale: runScale, Pair: *pair}
+				sk = c.Key()
 				if res, ok := cache.Get(sk); ok {
 					return res, nil
 				}
 			}
-			var res hetsim.Results
-			if *pair {
-				r, err := hetsim.RunPair(cfg, *bench, runScale)
-				if err != nil {
-					return hetsim.Results{}, err
-				}
-				res = r
-			} else {
-				sys, err := hetsim.NewSystem(cfg, *bench)
-				if err != nil {
-					return hetsim.Results{}, err
-				}
-				res = sys.Run(runScale)
+			res, err := c.Run()
+			if err != nil {
+				return hetsim.Results{}, err
 			}
 			if cache != nil {
 				if err := cache.Put(sk, res); err != nil {
@@ -180,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// byte-identical at any -j; epoch files are written after the grid
 	// completes.
 	var epochs []telemetry.Run
-	for i, vs := range vals {
+	for i, c := range cells {
 		res, err := tasks[i].Wait()
 		if err != nil {
 			return err
@@ -190,11 +167,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 				return err
 			}
 		}
-		if err := cw.Write(append([]string{*param, vs}, res.CSVRow()...)); err != nil {
+		if err := cw.Write(append([]string{*param, c.Value}, res.CSVRow()...)); err != nil {
 			return err
 		}
 		if res.Epochs != nil {
-			epochs = append(epochs, telemetry.Run{Labels: []string{*param, vs}, Series: res.Epochs})
+			epochs = append(epochs, telemetry.Run{Labels: []string{*param, c.Value}, Series: res.Epochs})
 		}
 	}
 	cw.Flush()

@@ -11,26 +11,11 @@ import (
 	"strings"
 	"time"
 
-	"hetsim"
 	"hetsim/internal/grid"
 	"hetsim/internal/lease"
 )
 
-// jobSpec and jobStatus mirror sweepd's wire JSON. The HTTP API is the
-// contract between the two commands; sharing Go types would couple
-// their builds without making the bytes any more compatible.
-type jobSpec struct {
-	Config        string   `json:"config"`
-	Benchmarks    []string `json:"benchmarks"`
-	Topology      string   `json:"topology,omitempty"`
-	Param         string   `json:"param,omitempty"`
-	Values        []string `json:"values,omitempty"`
-	Scale         string   `json:"scale,omitempty"`
-	Cores         int      `json:"cores,omitempty"`
-	Pair          bool     `json:"pair,omitempty"`
-	EpochInterval int64    `json:"epoch_interval,omitempty"`
-}
-
+// jobStatus is the part of sweepd's job status the client reads.
 type jobStatus struct {
 	ID       string   `json:"id"`
 	State    string   `json:"state"`
@@ -134,47 +119,6 @@ func (c *client) stream(ctx context.Context, path string, out io.Writer) error {
 	return err
 }
 
-// validateSpec runs the spec through the same grid tables sweepd
-// expands cells with, so every rejection happens client-side with the
-// server's exact vocabulary.
-func validateSpec(s jobSpec) error {
-	cfg, err := grid.Config(s.Config, s.Cores)
-	if err != nil {
-		return fmt.Errorf("%w (one of %s)", err, strings.Join(grid.ConfigNames(), "|"))
-	}
-	if s.Topology != "" {
-		if err := grid.ApplyTopology(&cfg, s.Topology); err != nil {
-			return err
-		}
-	}
-	sc, err := grid.Scale(s.Scale)
-	if err != nil {
-		return err
-	}
-	if len(s.Benchmarks) == 0 {
-		return fmt.Errorf("at least one benchmark required (-bench)")
-	}
-	known := map[string]bool{}
-	for _, b := range hetsim.Benchmarks() {
-		known[b] = true
-	}
-	for _, b := range s.Benchmarks {
-		if !known[b] {
-			return fmt.Errorf("unknown benchmark %q", b)
-		}
-	}
-	if (s.Param == "") != (len(s.Values) == 0) {
-		return fmt.Errorf("-param and -values must be given together")
-	}
-	for _, v := range s.Values {
-		c2, s2 := cfg, sc
-		if err := grid.Apply(&c2, &s2, s.Param, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // splitList parses a comma-separated flag value, dropping empties.
 func splitList(s string) []string {
 	var out []string
@@ -202,18 +146,21 @@ func (c *client) cmdSubmit(ctx context.Context, args []string, out io.Writer) er
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec := jobSpec{
-		Config:        strings.ToLower(strings.TrimSpace(*config)),
+	// Cells runs the spec through the same grid expansion sweepd uses,
+	// so every rejection happens client-side with the server's exact
+	// vocabulary.
+	spec := grid.Sweep{
+		Config:        *config,
 		Benchmarks:    splitList(*bench),
-		Topology:      strings.ToLower(strings.TrimSpace(*topo)),
-		Param:         strings.ToLower(strings.TrimSpace(*param)),
+		Topology:      *topo,
+		Param:         *param,
 		Values:        splitList(*values),
-		Scale:         strings.ToLower(*scale),
+		Scale:         *scale,
 		Cores:         *cores,
 		Pair:          *pair,
 		EpochInterval: *epoch,
-	}
-	if err := validateSpec(spec); err != nil {
+	}.Normalize()
+	if _, err := spec.Cells(); err != nil {
 		return err
 	}
 	b, _ := json.Marshal(spec)

@@ -4,9 +4,9 @@
 // failures (connection refused, 5xx) so a worker restarting behind the
 // same address is an inconvenience, not an error.
 //
-// Specs are validated locally through the same internal/grid name
-// tables the server builds cells from, so a spec sweepctl accepts is a
-// spec sweepd accepts, and error messages arrive before the network
+// Specs are validated locally by expanding them with grid.Sweep.Cells,
+// the call the server builds cells with, so a spec sweepctl accepts is
+// a spec sweepd accepts, and error messages arrive before the network
 // does.
 //
 // Usage:

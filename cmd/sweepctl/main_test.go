@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hetsim/internal/grid"
 )
 
 func init() {
@@ -128,6 +130,11 @@ func TestSubmitValidatesLocally(t *testing.T) {
 		{"submit", "-config", "rl", "-bench", "mcf", "-scale", "huge"},
 		{"submit", "-config", "rl", "-bench", "mcf", "-topology", "no-such-topology"},
 		{"submit", "-config", "rl", "-bench", "mcf", "-topology", "crit:ddr5x4+line:lpddr2x4"},
+		{"submit", "-config", "rl", "-bench", "mcf", "-param", "robsize", "-values", "-5"},
+		{"submit", "-config", "rl", "-bench", "mcf", "-cores", "-1"},
+		{"submit", "-config", "rl", "-bench", "mcf", "-param", "cores", "-values", "100"},
+		{"submit", "-config", "rl", "-bench", "mcf", "-param", "parityrate", "-values", "2"},
+		{"submit", "-config", "rl", "-bench", "mcf", "-epoch-interval", "-1"},
 		{"submit", "-config", "rl", "-bench", "mcf", "-topology", "crit:rldram3x3+line:lpddr2x4"},
 	} {
 		if code, _, _ := runCtl(t, ts.URL, args...); code == 0 {
@@ -142,7 +149,7 @@ func TestSubmitAndWaitAgainstFake(t *testing.T) {
 	var polls atomic.Int32
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		var spec jobSpec
+		var spec grid.Sweep
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 			t.Errorf("bad spec from client: %v", err)
 		}

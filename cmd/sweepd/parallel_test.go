@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"hetsim/internal/grid"
 )
 
 // cellStreams splits a multi-cell epoch JSONL stream into one
@@ -47,12 +49,12 @@ func cellStreams(t *testing.T, epochs string) map[string]string {
 }
 
 // legacyParallelSpec checkpoints spec into stateDir the way servers did
-// while JobSpec still carried a "parallel" field: the field set to true
+// while the sweep spec still carried a "parallel" field: the field set to true
 // and the file named after the ID that encoding hashed to. Today's
 // decoder ignores the field, so the file's name is not its job's ID.
-func legacyParallelSpec(t *testing.T, stateDir string, spec JobSpec) string {
+func legacyParallelSpec(t *testing.T, stateDir string, spec grid.Sweep) string {
 	t.Helper()
-	b, _ := json.Marshal(spec.normalize())
+	b, _ := json.Marshal(spec.Normalize())
 	b = append(bytes.TrimSuffix(b, []byte("}")), `,"parallel":true}`...)
 	sum := sha256.Sum256(b)
 	id := hex.EncodeToString(sum[:])[:12]
@@ -100,7 +102,7 @@ func TestSweepdParallelEpochsIdentical(t *testing.T) {
 	}
 	lh := newHarness(t, filepath.Join(legacyDir, "cache"), filepath.Join(legacyDir, "state"), 1)
 	defer lh.srv.Close()
-	id := spec.normalize().id()
+	id := spec.Normalize().ID()
 	if id == legacyID {
 		t.Fatal("legacy and current IDs coincide; the test would not exercise the renamed file")
 	}
@@ -179,7 +181,7 @@ func TestSweepdRescanSkipsProcessedFiles(t *testing.T) {
 		CacheDir: filepath.Join(dir, "cache"), StateDir: stateDir, Workers: 2, Log: &log,
 	})
 	defer h.srv.Close()
-	id := spec.normalize().id()
+	id := spec.Normalize().ID()
 	if fin := waitJobDone(t, h.srv, id); fin.State != "done" || fin.Failed != 0 {
 		t.Fatalf("legacy job did not finish cleanly: %+v", fin)
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hetsim/internal/chaos"
+	"hetsim/internal/grid"
 	"hetsim/internal/store"
 )
 
@@ -68,7 +69,7 @@ func newHarnessOpts(t *testing.T, opts Options) *harness {
 // referenceCSV runs the spec on a pristine single server in its own
 // directories — the byte-exact answer every crashy/chaotic/multi-worker
 // variant must reproduce.
-func referenceCSV(t *testing.T, spec JobSpec) string {
+func referenceCSV(t *testing.T, spec grid.Sweep) string {
 	t.Helper()
 	dir := t.TempDir()
 	h := newHarness(t, filepath.Join(dir, "cache"), filepath.Join(dir, "state"), 2)
@@ -81,10 +82,10 @@ func referenceCSV(t *testing.T, spec JobSpec) string {
 // writeSpecFile checkpoints a job spec directly into the state
 // directory, the way a peer worker would have — the file-drop path
 // resume() and the poll loop pick jobs up from.
-func writeSpecFile(t *testing.T, stateDir string, spec JobSpec) string {
+func writeSpecFile(t *testing.T, stateDir string, spec grid.Sweep) string {
 	t.Helper()
-	spec = spec.normalize()
-	id := spec.id()
+	spec = spec.Normalize()
+	id := spec.ID()
 	dir := filepath.Join(stateDir, "jobs")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)

@@ -3,9 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/csv"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,65 +22,14 @@ import (
 	"hetsim/internal/grid"
 	"hetsim/internal/lease"
 	"hetsim/internal/runpool"
-	"hetsim/internal/sim"
 	"hetsim/internal/store"
 )
 
-// JobSpec is a sweep submission: one configuration × a benchmark list
-// × an optional parameter axis. It is the HTTP request body and the
-// durable checkpoint record — a job's identity is the hash of its
-// normalized spec, so resubmitting the same sweep is idempotent.
-type JobSpec struct {
-	Config     string   `json:"config"`
-	Benchmarks []string `json:"benchmarks"`
-	// Topology, when set, overrides the config's memory organization: a
-	// named topology (grid.TopologyNames) or a raw spec string.
-	Topology      string   `json:"topology,omitempty"`
-	Param         string   `json:"param,omitempty"`
-	Values        []string `json:"values,omitempty"`
-	Scale         string   `json:"scale,omitempty"`
-	Cores         int      `json:"cores,omitempty"`
-	Pair          bool     `json:"pair,omitempty"`
-	EpochInterval int64    `json:"epoch_interval,omitempty"`
-}
-
-// normalize fills defaults and canonicalizes free-form fields so that
-// equivalent submissions hash to the same job ID.
-func (s JobSpec) normalize() JobSpec {
-	s.Config = strings.ToLower(strings.TrimSpace(s.Config))
-	s.Topology = strings.ToLower(strings.TrimSpace(s.Topology))
-	s.Param = strings.ToLower(strings.TrimSpace(s.Param))
-	s.Scale = strings.ToLower(strings.TrimSpace(s.Scale))
-	if s.Scale == "" {
-		s.Scale = "test"
-	}
-	if s.Cores == 0 {
-		s.Cores = 8
-	}
-	for i, b := range s.Benchmarks {
-		s.Benchmarks[i] = strings.TrimSpace(b)
-	}
-	for i, v := range s.Values {
-		s.Values[i] = strings.TrimSpace(v)
-	}
-	return s
-}
-
-// id is the content address of the normalized spec. JSON field order
-// is fixed by the struct, so the encoding is deterministic.
-func (s JobSpec) id() string {
-	b, _ := json.Marshal(s)
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])[:12]
-}
-
-// cell is one grid point: (value, benchmark) under the job's config.
+// cell is one grid point and its progress. key caches Cell.Key: it is
+// the pool, lease and store address of the cell.
 type cell struct {
-	Bench string
-	Value string
-	cfg   hetsim.Config
-	scale hetsim.Scale
-	key   store.RunKey
+	grid.Cell
+	key store.RunKey
 
 	mu     sync.Mutex
 	state  string // "pending" | "done" | "failed" | "poisoned"
@@ -94,7 +41,7 @@ type cell struct {
 // job is one accepted sweep and its live progress.
 type job struct {
 	ID    string
-	Spec  JobSpec
+	Spec  grid.Sweep
 	Cells []*cell
 
 	mu       sync.Mutex
@@ -301,16 +248,17 @@ func (s *Server) scanJobs(verb string) error {
 			continue
 		}
 		s.scanned[name] = info.ModTime()
-		var spec JobSpec
+		var spec grid.Sweep
 		if err := json.Unmarshal(b, &spec); err != nil {
 			fmt.Fprintf(s.opts.Log, "sweepd: skipping %s: %v\n", name, err)
 			continue
 		}
-		if _, err := s.submit(spec); err != nil {
+		j, err := s.submit(spec)
+		if err != nil {
 			fmt.Fprintf(s.opts.Log, "sweepd: %s %s: %v\n", verb, name, err)
 			continue
 		}
-		fmt.Fprintf(s.opts.Log, "sweepd: %s job %s\n", verb, spec.id())
+		fmt.Fprintf(s.opts.Log, "sweepd: %s job %s\n", verb, j.ID)
 	}
 	return nil
 }
@@ -368,61 +316,6 @@ func (s *Server) Drain(ctx context.Context) error {
 // Close drains with no deadline: every in-flight cell finishes.
 func (s *Server) Close() { s.Drain(context.Background()) }
 
-// buildCells validates the spec and expands its grid. Pure function of
-// the spec, so a resumed server reconstructs the identical grid — and
-// the identical store keys — the dead server was working through.
-func buildCells(spec JobSpec) ([]*cell, error) {
-	if len(spec.Benchmarks) == 0 {
-		return nil, fmt.Errorf("sweepd: no benchmarks")
-	}
-	known := map[string]bool{}
-	for _, b := range hetsim.Benchmarks() {
-		known[b] = true
-	}
-	for _, b := range spec.Benchmarks {
-		if !known[b] {
-			return nil, fmt.Errorf("sweepd: unknown benchmark %q", b)
-		}
-	}
-	if (spec.Param == "") != (len(spec.Values) == 0) {
-		return nil, fmt.Errorf("sweepd: param and values must be given together")
-	}
-	scale, err := grid.Scale(spec.Scale)
-	if err != nil {
-		return nil, err
-	}
-	scale.EpochInterval = sim.Cycle(spec.EpochInterval)
-	values := spec.Values
-	if spec.Param == "" {
-		values = []string{""} // single column: the unmodified config
-	}
-	var cells []*cell
-	for _, v := range values {
-		cfg, err := grid.Config(spec.Config, spec.Cores)
-		if err != nil {
-			return nil, err
-		}
-		if spec.Topology != "" {
-			if err := grid.ApplyTopology(&cfg, spec.Topology); err != nil {
-				return nil, err
-			}
-		}
-		runScale := scale
-		if spec.Param != "" {
-			if err := grid.Apply(&cfg, &runScale, spec.Param, v); err != nil {
-				return nil, err
-			}
-		}
-		for _, b := range spec.Benchmarks {
-			cells = append(cells, &cell{
-				Bench: b, Value: v, cfg: cfg, scale: runScale, state: "pending",
-				key: store.RunKey{Cfg: cfg.Key(), Bench: b, Scale: runScale, Pair: spec.Pair},
-			})
-		}
-	}
-	return cells, nil
-}
-
 // submit registers the job (idempotently) and fans its cells across
 // the pool. Cells are enqueued in a per-worker deterministic shuffle —
 // seeded by (owner, job ID) — so N workers sharing a store start from
@@ -430,13 +323,17 @@ func buildCells(spec JobSpec) ([]*cell, error) {
 // instead of colliding cell by cell in the same order. The job's Cells
 // slice keeps grid order, so results.csv is identical however many
 // workers raced.
-func (s *Server) submit(spec JobSpec) (*job, error) {
-	spec = spec.normalize()
-	cells, err := buildCells(spec)
+func (s *Server) submit(spec grid.Sweep) (*job, error) {
+	spec = spec.Normalize()
+	points, err := spec.Cells()
 	if err != nil {
 		return nil, err
 	}
-	id := spec.id()
+	cells := make([]*cell, len(points))
+	for i, c := range points {
+		cells[i] = &cell{Cell: c, key: c.Key(), state: "pending"}
+	}
+	id := spec.ID()
 
 	s.mu.Lock()
 	if j, ok := s.jobs[id]; ok {
@@ -623,48 +520,25 @@ func (s *Server) warnPut(err error) {
 }
 
 // runCell performs the actual simulation with the cell deadline and
-// the drain-abort flag folded into one polled cancel hook. The hook is
-// latched: only a run the simulator actually truncated reports an
-// error — a run that finished just before its deadline is a result.
+// the drain-abort flag folded into one polled cancel hook, which
+// Cell.Run latches.
 func (s *Server) runCell(c *cell) (hetsim.Results, error) {
-	cfg := c.cfg
+	run := c.Cell
 	var deadline time.Time
 	if s.opts.CellTimeout > 0 {
 		deadline = time.Now().Add(s.opts.CellTimeout)
 	}
-	var tripped atomic.Bool
-	cfg.Cancel = func() bool {
-		if s.aborting.Load() {
-			tripped.Store(true)
-			return true
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			tripped.Store(true)
-			return true
-		}
-		return false
+	run.Cfg.Cancel = func() bool {
+		return s.aborting.Load() || (!deadline.IsZero() && time.Now().After(deadline))
 	}
-	var res hetsim.Results
-	if c.key.Pair {
-		var err error
-		res, err = hetsim.RunPair(cfg, c.Bench, c.scale)
-		if err != nil {
-			return hetsim.Results{}, err
-		}
-	} else {
-		sys, err := hetsim.NewSystem(cfg, c.Bench)
-		if err != nil {
-			return hetsim.Results{}, err
-		}
-		res = sys.Run(c.scale)
-	}
-	if tripped.Load() {
+	res, err := run.Run()
+	if errors.Is(err, grid.ErrCanceled) {
 		if s.aborting.Load() {
 			return hetsim.Results{}, fmt.Errorf("sweepd: run aborted by drain deadline")
 		}
 		return hetsim.Results{}, fmt.Errorf("sweepd: run exceeded cell deadline %v", s.opts.CellTimeout)
 	}
-	return res, nil
+	return res, err
 }
 
 // complete records the finished cell and publishes its epoch series to
@@ -718,12 +592,12 @@ func (s *Server) complete(j *job, c *cell, res hetsim.Results, err error) {
 
 // Status is the wire form of a job's progress.
 type Status struct {
-	ID     string  `json:"id"`
-	Spec   JobSpec `json:"spec"`
-	State  string  `json:"state"` // "running" | "done" | "failed"
-	Total  int     `json:"total"`
-	Done   int     `json:"done"`
-	Failed int     `json:"failed"`
+	ID     string     `json:"id"`
+	Spec   grid.Sweep `json:"spec"`
+	State  string     `json:"state"` // "running" | "done" | "failed"
+	Total  int        `json:"total"`
+	Done   int        `json:"done"`
+	Failed int        `json:"failed"`
 	// Poisoned counts cells that exhausted their retry budget; they are
 	// final (never retried) and make the job "failed".
 	Poisoned int `json:"poisoned,omitempty"`
@@ -810,7 +684,7 @@ func (s *Server) health() Health {
 
 // Handler builds the HTTP API:
 //
-//	POST /api/v1/sweeps              submit a JobSpec (idempotent)
+//	POST /api/v1/sweeps              submit a grid.Sweep (idempotent)
 //	GET  /api/v1/sweeps              list job statuses
 //	GET  /api/v1/sweeps/{id}         one job's status
 //	GET  /api/v1/sweeps/{id}/results.csv   summary CSV (?wait=1 blocks)
@@ -848,7 +722,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, errClosed.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	var spec JobSpec
+	var spec grid.Sweep
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
 		http.Error(w, "bad spec: "+err.Error(), http.StatusBadRequest)
 		return

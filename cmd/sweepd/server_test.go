@@ -13,12 +13,14 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hetsim/internal/grid"
 )
 
 // testSpec is the canonical 4-cell grid used across the tests: four
 // ROB sizes × one benchmark at test scale with epoch sampling on.
-func testSpec() JobSpec {
-	return JobSpec{
+func testSpec() grid.Sweep {
+	return grid.Sweep{
 		Config:        "rl",
 		Benchmarks:    []string{"libquantum"},
 		Param:         "robsize",
@@ -52,7 +54,7 @@ func (h *harness) close() {
 	h.ts.Close()
 }
 
-func (h *harness) submit(t *testing.T, spec JobSpec) Status {
+func (h *harness) submit(t *testing.T, spec grid.Sweep) Status {
 	t.Helper()
 	b, _ := json.Marshal(spec)
 	resp, err := http.Post(h.ts.URL+"/api/v1/sweeps", "application/json", bytes.NewReader(b))
@@ -363,7 +365,7 @@ func TestSweepdTopologyJob(t *testing.T) {
 	h := newHarness(t, filepath.Join(dir, "cache"), filepath.Join(dir, "state"), 2)
 	defer h.srv.Close()
 
-	st := h.submit(t, JobSpec{
+	st := h.submit(t, grid.Sweep{
 		Config:     "baseline",
 		Topology:   "dram-cache",
 		Benchmarks: []string{"libquantum", "mcf"},
@@ -385,7 +387,7 @@ func TestSweepdBadSpecs(t *testing.T) {
 	h := newHarness(t, filepath.Join(dir, "cache"), filepath.Join(dir, "state"), 1)
 	defer h.srv.Close()
 
-	bad := []JobSpec{
+	bad := []grid.Sweep{
 		{Config: "warp9", Benchmarks: []string{"mcf"}},
 		{Config: "rl"},
 		{Config: "rl", Benchmarks: []string{"no-such-bench"}},
@@ -395,6 +397,13 @@ func TestSweepdBadSpecs(t *testing.T) {
 		{Config: "rl", Benchmarks: []string{"mcf"}, Scale: "huge"},
 		{Config: "rl", Benchmarks: []string{"mcf"}, Topology: "no-such-topology"},
 		{Config: "rl", Benchmarks: []string{"mcf"}, Topology: "crit:ddr5x4+line:lpddr2x4"},
+		// Specs that parse but can never run: each cell config must pass
+		// SystemConfig.Validate, and the epoch interval cannot be negative.
+		{Config: "rl", Benchmarks: []string{"mcf"}, Param: "robsize", Values: []string{"-5"}},
+		{Config: "rl", Benchmarks: []string{"mcf"}, Cores: -1},
+		{Config: "rl", Benchmarks: []string{"mcf"}, Param: "cores", Values: []string{"100"}},
+		{Config: "rl", Benchmarks: []string{"mcf"}, Param: "parityrate", Values: []string{"2"}},
+		{Config: "rl", Benchmarks: []string{"mcf"}, EpochInterval: -1},
 	}
 	for i, spec := range bad {
 		b, _ := json.Marshal(spec)

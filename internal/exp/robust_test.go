@@ -1,61 +1,13 @@
 package exp
 
 import (
-	"context"
-	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"hetsim/internal/chaos"
 	"hetsim/internal/core"
 	"hetsim/internal/store"
 )
-
-// TestCellTimeoutTruncatesRun arms an unmeetable per-cell deadline and
-// checks the run fails with ErrRunCanceled instead of hanging or
-// returning a silently short result.
-func TestCellTimeoutTruncatesRun(t *testing.T) {
-	r := NewRunner(Options{Scale: core.TestScale(), Workers: 1,
-		CellTimeout: time.Nanosecond})
-	_, err := r.Run(core.RL(2), "libquantum")
-	if !errors.Is(err, ErrRunCanceled) {
-		t.Fatalf("got %v, want ErrRunCanceled", err)
-	}
-}
-
-// TestContextCancelTruncatesRun: a canceled context fails the run the
-// same way.
-func TestContextCancelTruncatesRun(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r := NewRunner(Options{Scale: core.TestScale(), Workers: 1, Context: ctx})
-	_, err := r.Run(core.RL(2), "libquantum")
-	if !errors.Is(err, ErrRunCanceled) {
-		t.Fatalf("got %v, want ErrRunCanceled", err)
-	}
-}
-
-// TestGenerousDeadlineDoesNotPerturbResults pins that merely arming a
-// deadline — polling wall clock on the stop grid — cannot change the
-// simulated outcome: results with and without CellTimeout are deeply
-// equal.
-func TestGenerousDeadlineDoesNotPerturbResults(t *testing.T) {
-	plain := NewRunner(Options{Scale: core.TestScale(), Workers: 1})
-	timed := NewRunner(Options{Scale: core.TestScale(), Workers: 1,
-		CellTimeout: time.Hour, Context: context.Background()})
-	want, err := plain.Run(core.RL(2), "libquantum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := timed.Run(core.RL(2), "libquantum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("arming a generous deadline changed the results")
-	}
-}
 
 // TestChaoticStoreDegradesToMemoryOnly runs a sweep over a store whose
 // every write fails: the sweep must complete with correct results

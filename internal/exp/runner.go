@@ -10,27 +10,20 @@
 package exp
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"io"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hetsim/internal/core"
 	"hetsim/internal/faults"
+	"hetsim/internal/grid"
 	"hetsim/internal/runpool"
 	"hetsim/internal/store"
 	"hetsim/internal/telemetry"
 	"hetsim/internal/workload"
 )
-
-// ErrRunCanceled marks a run truncated by Options.Context or a
-// per-cell deadline (Options.CellTimeout). The partial Results are
-// discarded — a canceled run is an error, never a shorter answer.
-var ErrRunCanceled = errors.New("exp: run canceled")
 
 // Options scope an experiment sweep.
 type Options struct {
@@ -56,14 +49,6 @@ type Options struct {
 	// flaky or full disk degrades runs to memory-only memoization
 	// instead of failing them.
 	Store store.Interface
-	// Context, when non-nil, cancels in-flight and future runs when it
-	// is done: the simulator polls it on the drive loop's stop grid and
-	// the truncated run surfaces ErrRunCanceled.
-	Context context.Context
-	// CellTimeout bounds each (config, benchmark) run (the full
-	// RunPair, stand-alone references included). A run that exceeds it
-	// is truncated and fails with ErrRunCanceled; 0 = no deadline.
-	CellTimeout time.Duration
 }
 
 // withDefaults normalizes options.
@@ -86,20 +71,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// runKey identifies one (config, benchmark) execution. It is a proper
-// comparable struct — see core.ConfigKey — so configs differing in any
-// behaviour-relevant field can never alias one memo entry.
-type runKey struct {
-	cfg   core.ConfigKey
-	bench string
-}
-
 // Runner executes and memoizes paired (shared+alone) runs. It is safe
 // for concurrent use: figure functions submit whole sweeps up front
 // and collect results in deterministic order.
 type Runner struct {
 	Opts Options
-	pool *runpool.Pool[runKey, core.Results]
+	// pool is keyed by each cell's store key, a comparable struct (see
+	// core.ConfigKey), so configs differing in any behaviour-relevant
+	// field can never alias one memo entry.
+	pool *runpool.Pool[store.RunKey, core.Results]
 
 	logMu sync.Mutex
 	done  int
@@ -111,7 +91,7 @@ type Runner struct {
 // NewRunner builds a runner.
 func NewRunner(opts Options) *Runner {
 	opts = opts.withDefaults()
-	return &Runner{Opts: opts, pool: runpool.New[runKey, core.Results](opts.Workers)}
+	return &Runner{Opts: opts, pool: runpool.New[store.RunKey, core.Results](opts.Workers)}
 }
 
 // Stats reports pool activity: distinct runs submitted/executed and
@@ -131,83 +111,36 @@ func (r *Runner) Start(cfg core.SystemConfig, bench string) *runpool.Task[core.R
 	if !cfg.Faults.Active() && r.Opts.Faults.Active() {
 		cfg.Faults = r.Opts.Faults
 	}
-	key := runKey{cfg.Key(), bench}
+	c := grid.Cell{Cfg: cfg, Bench: bench, Scale: r.Opts.Scale, Pair: true}
+	key := c.Key()
 	return r.pool.Submit(key, func() (core.Results, error) {
-		spec, err := workload.Get(bench)
-		if err != nil {
-			return core.Results{}, err
-		}
 		// Disk tier: a verified entry replaces the run outright. Epoch
 		// series ride inside the stored Results, so warm sweeps emit
 		// the same epoch CSV/JSONL as cold ones.
-		sk := store.RunKey{Cfg: key.cfg, Bench: bench, Scale: r.Opts.Scale, Pair: true}
-		if st := r.Opts.Store; st != nil {
-			if res, ok := st.Get(sk); ok {
-				r.recordEpochs(cfg.Name, bench, res.Epochs)
-				r.progress(cfg.Name, bench, 0)
+		st := r.Opts.Store
+		if st != nil {
+			if res, ok := st.Get(key); ok {
+				r.recordEpochs(c.Cfg.Name, c.Bench, res.Epochs)
+				r.progress(c.Cfg.Name, c.Bench, 0)
 				return res, nil
 			}
 		}
-		// Deadline / cancellation: the hook is latched, so only a run
-		// the simulator actually truncated reports cancellation — a run
-		// that finished just before its deadline passed is a result,
-		// not an error. The latch also starts the clock here, when the
-		// run starts, not when it was submitted to the pool.
-		cancel, tripped := r.cancelHook()
-		if cancel != nil {
-			if cancel() {
-				return core.Results{}, fmt.Errorf("%w before start: %s/%s", ErrRunCanceled, cfg.Name, bench)
-			}
-			tripped.Store(false) // the pre-start probe may have latched
-			cfg.Cancel = cancel
-		}
 		start := time.Now()
-		res, err := core.RunPair(cfg, spec, r.Opts.Scale)
+		res, err := c.Run()
 		if err != nil {
 			return core.Results{}, err
 		}
-		if tripped != nil && tripped.Load() {
-			return core.Results{}, fmt.Errorf("%w after %v: %s/%s",
-				ErrRunCanceled, time.Since(start).Round(time.Millisecond), cfg.Name, bench)
-		}
-		r.recordEpochs(cfg.Name, bench, res.Epochs)
-		r.progress(cfg.Name, bench, time.Since(start))
-		if st := r.Opts.Store; st != nil {
-			if err := st.Put(sk, res); err != nil && r.Opts.Log != nil {
+		r.recordEpochs(c.Cfg.Name, c.Bench, res.Epochs)
+		r.progress(c.Cfg.Name, c.Bench, time.Since(start))
+		if st != nil {
+			if err := st.Put(key, res); err != nil && r.Opts.Log != nil {
 				r.logMu.Lock()
-				fmt.Fprintf(r.Opts.Log, "  cache write failed for %s/%s: %v\n", cfg.Name, bench, err)
+				fmt.Fprintf(r.Opts.Log, "  cache write failed for %s/%s: %v\n", c.Cfg.Name, c.Bench, err)
 				r.logMu.Unlock()
 			}
 		}
 		return res, nil
 	})
-}
-
-// cancelHook builds the polled cancellation closure for one run from
-// Options.Context and Options.CellTimeout, plus the latch recording
-// whether it ever fired. Returns (nil, nil) when neither is set, so
-// the common path stays allocation- and check-free.
-func (r *Runner) cancelHook() (func() bool, *atomic.Bool) {
-	ctx, timeout := r.Opts.Context, r.Opts.CellTimeout
-	if ctx == nil && timeout <= 0 {
-		return nil, nil
-	}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	tripped := new(atomic.Bool)
-	return func() bool {
-		if ctx != nil && ctx.Err() != nil {
-			tripped.Store(true)
-			return true
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			tripped.Store(true)
-			return true
-		}
-		return false
-	}, tripped
 }
 
 // progress emits one per-run completion line (mutex-guarded; run

@@ -1,7 +1,9 @@
-// Package grid constructs sweep cells: it maps the CLI-level names for
-// configurations, run scales, and swept parameters onto concrete
-// core.SystemConfig / core.RunScale values. cmd/hetsim, cmd/sweep and
-// cmd/sweepd all build their grids through this one table, so a
+// Package grid turns CLI-level names into runnable sweep cells. It
+// maps the names for configurations, run scales, topologies and swept
+// parameters onto concrete core.SystemConfig / core.RunScale values,
+// and owns the sweep spec (Sweep) and the grid point (Cell) built from
+// them. cmd/hetsim, cmd/sweep, cmd/sweepd, cmd/sweepctl and exp.Runner
+// all expand grids through Sweep.Cells or run through Cell.Run, so a
 // configuration submitted over HTTP to the job server is — by
 // construction — the same configuration a local sweep would run, and
 // both address the same durable store entries.
@@ -52,7 +54,8 @@ func Config(name string, cores int) (core.SystemConfig, error) {
 	case "dram-cache":
 		return core.DRAMCached(cores), nil
 	default:
-		return core.SystemConfig{}, fmt.Errorf("unknown config %q", name)
+		return core.SystemConfig{}, fmt.Errorf("unknown config %q (one of %s)",
+			name, strings.Join(ConfigNames(), "|"))
 	}
 }
 
