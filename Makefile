@@ -65,13 +65,14 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # Robustness smoke: the lease protocol, the chaos-store convergence
-# suite, the crash-simulation store tests, the cell cancel latch, and
+# suite, the crash-simulation store tests, the degraded latch (one
+# wrapped cause, one warning), the cell cancel latch, and
 # the multi-worker / SIGKILL / drain integration tests, all under the
 # race detector.
 chaos:
 	$(GO) test -race -count=1 ./internal/lease/ ./internal/chaos/
-	$(GO) test -race -count=1 ./internal/store/ -run 'TestPutFsync|TestCrashSim|TestDegraded|TestReadOnly'
-	$(GO) test -race -count=1 ./internal/exp/ -run 'TestChaoticStore'
+	$(GO) test -race -count=1 ./internal/store/ -run 'TestPutFsync|TestCrashSim|TestDegraded|TestReadOnly|TestConcurrentDegrade'
+	$(GO) test -race -count=1 ./internal/exp/ -run 'TestChaoticStore|TestDegradedStoreWarnsOnce'
 	$(GO) test -race -count=1 ./internal/grid/ -run 'TestCellRun'
 	$(GO) test -race -count=1 ./cmd/sweepd/ -run 'TestSweepdTwoWorkers|TestSweepdWorkerSIGKILL|TestSweepdChaotic|TestSweepdPoisoned|TestSweepdHealth|TestSweepdDrainDeadline'
 

@@ -87,19 +87,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments: -epoch-csv/-epoch-jsonl need -epoch-interval > 0")
 		os.Exit(2)
 	}
+	if *cacheMax < 0 || (*cacheMax > 0 && *cacheDir == "") {
+		fmt.Fprintln(os.Stderr, "experiments: -cache-max-bytes must be >= 0 and needs -cache-dir")
+		os.Exit(2)
+	}
 	scale.EpochInterval = sim.Cycle(*epochInterval)
 	opts := exp.Options{Scale: scale, NCores: *cores, Seed: *seed,
 		Workers: *workers}
 	var cache *store.Store
 	if *cacheDir != "" {
-		st, err := store.Open(*cacheDir)
-		if err != nil {
+		if cache, err = store.Open(*cacheDir); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(2)
 		}
-		st.SetMaxBytes(*cacheMax)
-		opts.Store = st
-		cache = st
+		cache.SetMaxBytes(*cacheMax)
+		opts.Store = cache
 	}
 	if *faultSpec != "" {
 		fc, err := hetsim.ParseFaults(*faultSpec)
@@ -382,8 +384,12 @@ func main() {
 
 	if cache != nil {
 		cs := cache.Stats()
-		fmt.Fprintf(os.Stderr, "experiments: cache %s: %d hits, %d misses, %d writes, %d corrupt\n",
-			*cacheDir, cs.Hits, cs.Misses, cs.Writes, cs.Corrupt)
+		degraded := ""
+		if cache.Degraded() {
+			degraded = ", degraded (memory-only)"
+		}
+		fmt.Fprintf(os.Stderr, "experiments: cache %s: %d hits, %d misses, %d writes, %d corrupt%s\n",
+			*cacheDir, cs.Hits, cs.Misses, cs.Writes, cs.Corrupt, degraded)
 	}
 	st := r.Stats()
 	fmt.Fprintf(os.Stderr, "experiments: %d runs (%d deduped) on %d workers in %.1fs\n",

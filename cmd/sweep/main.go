@@ -25,9 +25,9 @@ import (
 	"strings"
 
 	"hetsim"
+	"hetsim/internal/exp"
 	"hetsim/internal/grid"
 	"hetsim/internal/profiling"
-	"hetsim/internal/runpool"
 	"hetsim/internal/store"
 	"hetsim/internal/telemetry"
 )
@@ -76,13 +76,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if (*epochCSV != "" || *epochJSONL != "") && *epochInterval <= 0 {
 		return fmt.Errorf("-epoch-csv/-epoch-jsonl need -epoch-interval > 0")
 	}
+	if *cacheMax < 0 || (*cacheMax > 0 && *cacheDir == "") {
+		return fmt.Errorf("-cache-max-bytes must be >= 0 and needs -cache-dir")
+	}
 	var baseFaults hetsim.FaultConfig
 	if *faultSpec != "" {
-		fc, err := hetsim.ParseFaults(*faultSpec)
-		if err != nil {
+		if baseFaults, err = hetsim.ParseFaults(*faultSpec); err != nil {
 			return err
 		}
-		baseFaults = fc
 	}
 	if *faultSeed != 0 {
 		baseFaults.Seed = *faultSeed
@@ -127,30 +128,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cw := csv.NewWriter(w)
 	defer cw.Flush()
 
-	// Fan the grid's runs across the pool.
-	pool := runpool.New[int, hetsim.Results](*workers)
-	tasks := make([]*runpool.Task[hetsim.Results], len(cells))
-	for i, c := range cells {
-		tasks[i] = pool.Submit(i, func() (hetsim.Results, error) {
-			// Disk tier: a verified cache entry replaces the run.
-			var sk store.RunKey
-			if cache != nil {
-				sk = c.Key()
-				if res, ok := cache.Get(sk); ok {
-					return res, nil
-				}
-			}
-			res, err := c.Run()
-			if err != nil {
-				return hetsim.Results{}, err
-			}
-			if cache != nil {
-				if err := cache.Put(sk, res); err != nil {
-					fmt.Fprintln(stderr, "sweep: cache write failed:", err)
-				}
-			}
-			return res, nil
-		})
+	// Fan the grid's runs across the runner, which reads each through
+	// the store; collecting re-Starts a cell and joins its run, so a
+	// cell listed twice is simulated once.
+	runner := exp.NewRunner(exp.Options{Workers: *workers, Store: cache})
+	for _, c := range cells {
+		runner.Start(c)
 	}
 
 	// Collect rows and epoch series in grid order, so both are
@@ -158,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// completes.
 	var epochs []telemetry.Run
 	for i, c := range cells {
-		res, err := tasks[i].Wait()
+		res, err := runner.Start(c).Wait()
 		if err != nil {
 			return err
 		}
@@ -191,8 +174,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// default stdout stays byte-identical to the pre-cache tool.
 	if cache != nil {
 		st := cache.Stats()
-		fmt.Fprintf(stderr, "sweep: cache %s: %d hits, %d misses, %d writes, %d corrupt\n",
-			*cacheDir, st.Hits, st.Misses, st.Writes, st.Corrupt)
+		degraded := ""
+		if cache.Degraded() {
+			degraded = ", degraded (memory-only)"
+		}
+		fmt.Fprintf(stderr, "sweep: cache %s: %d hits, %d misses, %d writes, %d corrupt%s\n",
+			*cacheDir, st.Hits, st.Misses, st.Writes, st.Corrupt, degraded)
 	}
 	return nil
 }

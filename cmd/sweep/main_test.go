@@ -108,6 +108,39 @@ func TestSweepBadFlags(t *testing.T) {
 	if err := run([]string{"-param", "warp", "-values", "1"}, &out, &errb); err == nil {
 		t.Fatal("unknown param accepted")
 	}
+	if err := run([]string{"-cache-max-bytes", "1000"}, &out, &errb); err == nil {
+		t.Fatal("-cache-max-bytes without -cache-dir accepted")
+	}
+	if err := run([]string{"-cache-max-bytes", "-1", "-cache-dir", t.TempDir()}, &out, &errb); err == nil {
+		t.Fatal("negative -cache-max-bytes accepted")
+	}
+}
+
+// TestSweepDedupsRepeatedValues: a grid that lists the same cell twice
+// simulates it once — one store miss and one write on a cold cache —
+// and emits the shared result on both rows.
+func TestSweepDedupsRepeatedValues(t *testing.T) {
+	var out, errb bytes.Buffer
+	args := []string{
+		"-bench", "libquantum", "-config", "rl",
+		"-param", "robsize", "-values", "32,32",
+		"-scale", "quick", "-j", "2",
+		"-cache-dir", filepath.Join(t.TempDir(), "cache"),
+	}
+	if err := run(args, &out, &errb); err != nil {
+		t.Fatalf("sweep failed: %v\nstderr: %s", err, errb.String())
+	}
+	m := cacheLine.FindStringSubmatch(errb.String())
+	if m == nil {
+		t.Fatalf("no cache summary on stderr:\n%s", errb.String())
+	}
+	if m[1] != "0" || m[2] != "1" || m[3] != "1" {
+		t.Fatalf("repeated cell should be 0 hits / 1 misses / 1 writes, got %v", m[1:])
+	}
+	rows := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(rows) != 3 || rows[1] != rows[2] {
+		t.Fatalf("want a header and two identical rows, got:\n%s", out.String())
+	}
 }
 
 // TestSweepOutputWriteError: a summary CSV that cannot be written is an

@@ -67,6 +67,10 @@ func realMain(args []string, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *cacheMax < 0 {
+		fmt.Fprintln(stderr, "sweepd: -cache-max-bytes must be >= 0")
+		return 2
+	}
 
 	srv, err := NewServer(Options{
 		CacheDir:      *cacheDir,

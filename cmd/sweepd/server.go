@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"hetsim"
+	"hetsim/internal/exp"
 	"hetsim/internal/grid"
 	"hetsim/internal/lease"
 	"hetsim/internal/runpool"
@@ -117,8 +118,6 @@ type Server struct {
 	drainCh   chan struct{}
 	drainOnce sync.Once
 	wg        sync.WaitGroup
-
-	degradedWarn sync.Once
 
 	// executed counts cells that actually ran the simulator; restored
 	// counts cells served from the durable store. After a kill/restart
@@ -236,7 +235,7 @@ func (s *Server) scanJobs(verb string) error {
 		}
 		info, err := de.Info()
 		if err != nil {
-			fmt.Fprintf(s.opts.Log, "sweepd: skipping %s: %v\n", name, err)
+			s.logf("skipping %s: %v", name, err)
 			continue
 		}
 		if at, ok := s.scanned[name]; ok && at.Equal(info.ModTime()) {
@@ -244,21 +243,21 @@ func (s *Server) scanJobs(verb string) error {
 		}
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			fmt.Fprintf(s.opts.Log, "sweepd: skipping %s: %v\n", name, err)
+			s.logf("skipping %s: %v", name, err)
 			continue
 		}
 		s.scanned[name] = info.ModTime()
 		var spec grid.Sweep
 		if err := json.Unmarshal(b, &spec); err != nil {
-			fmt.Fprintf(s.opts.Log, "sweepd: skipping %s: %v\n", name, err)
+			s.logf("skipping %s: %v", name, err)
 			continue
 		}
 		j, err := s.submit(spec)
 		if err != nil {
-			fmt.Fprintf(s.opts.Log, "sweepd: %s %s: %v\n", verb, name, err)
+			s.logf("%s %s: %v", verb, name, err)
 			continue
 		}
-		fmt.Fprintf(s.opts.Log, "sweepd: %s job %s\n", verb, j.ID)
+		s.logf("%s job %s", verb, j.ID)
 	}
 	return nil
 }
@@ -275,7 +274,7 @@ func (s *Server) pollLoop() {
 			return
 		case <-t.C:
 			if err := s.scanJobs("discovered"); err != nil {
-				fmt.Fprintf(s.opts.Log, "sweepd: rescan: %v\n", err)
+				s.logf("rescan: %v", err)
 			}
 		}
 	}
@@ -420,8 +419,9 @@ func (s *Server) sleep(d time.Duration) bool {
 //	    arrives as a cache hit; if the holder dies instead, its lease
 //	    expires and the next TryAcquire reclaims it with a bumped
 //	    fencing token
-//	lease acquired → heartbeat in the background, run the simulator,
-//	    checkpoint to the store, release
+//	lease acquired → heartbeat in the background, then the
+//	    read-through step: re-check the store (a hit is restored),
+//	    else run the simulator and checkpoint to the store; release
 //	run error → release, count an attempt, back off, retry; past the
 //	    attempt budget the cell is poisoned
 //
@@ -450,19 +450,14 @@ func (s *Server) runLeased(c *cell) (hetsim.Results, error) {
 		if err != nil {
 			return hetsim.Results{}, err
 		}
-		// Double-check under the lease: the previous holder may have
-		// finished between our store read and the acquire.
-		if res, ok := s.cache.Get(c.key); ok {
-			s.releaseLease(ls)
-			s.restored.Add(1)
-			return res, nil
-		}
+		// The step re-checks the store under the lease: a holder that
+		// finished since our store read shows up as a hit.
 		stop := make(chan struct{})
 		lost := ls.Heartbeat(0, stop)
 		if hold := s.opts.HoldCellForTest; hold > 0 {
 			s.sleep(hold)
 		}
-		res, runErr := s.runCell(c)
+		res, hit, runErr := s.runCell(c)
 		close(stop)
 		select {
 		case <-lost:
@@ -470,18 +465,20 @@ func (s *Server) runLeased(c *cell) (hetsim.Results, error) {
 			// reclaimer is re-running the cell; our result is
 			// byte-identical, so publishing it anyway is harmless — the
 			// log line is for observability, not recovery.
-			fmt.Fprintf(s.opts.Log, "sweepd: lease lost mid-cell %s (duplicated work)\n", hash[:12])
+			s.logf("lease lost mid-cell %s (duplicated work)", hash[:12])
 		default:
 		}
+		if err := ls.Release(); err != nil {
+			s.logf("lease release %s: %v", hash[:12], err)
+		}
 		if runErr == nil {
-			if perr := s.cache.Put(c.key, res); perr != nil {
-				s.warnPut(perr)
+			if hit {
+				s.restored.Add(1)
+			} else {
+				s.executed.Add(1)
 			}
-			s.releaseLease(ls)
-			s.executed.Add(1)
 			return res, nil
 		}
-		s.releaseLease(ls)
 		if s.closed.Load() {
 			// A drain-aborted run is a shutdown, not a strike against
 			// the cell.
@@ -491,7 +488,7 @@ func (s *Server) runLeased(c *cell) (hetsim.Results, error) {
 		if attempts >= s.opts.CellAttempts {
 			return hetsim.Results{}, fmt.Errorf("%w after %d attempts: %v", errPoisoned, attempts, runErr)
 		}
-		fmt.Fprintf(s.opts.Log, "sweepd: cell %s attempt %d/%d failed, backing off: %v\n",
+		s.logf("cell %s attempt %d/%d failed, backing off: %v",
 			hash[:12], attempts, s.opts.CellAttempts, runErr)
 		if !s.sleep(bo.Next()) {
 			return hetsim.Results{}, errClosed
@@ -499,30 +496,10 @@ func (s *Server) runLeased(c *cell) (hetsim.Results, error) {
 	}
 }
 
-func (s *Server) releaseLease(l *lease.Lease) {
-	if err := l.Release(); err != nil {
-		fmt.Fprintf(s.opts.Log, "sweepd: lease release %s: %v\n", l.Key()[:12], err)
-	}
-}
-
-// warnPut logs a failed store write. The store itself latches into
-// degraded (memory-only) mode on environmental failures — disk full,
-// read-only filesystem — so the sweep keeps its in-memory memo tier
-// and finishes; the once-per-process warning makes the lost durability
-// impossible to miss in the log.
-func (s *Server) warnPut(err error) {
-	fmt.Fprintf(s.opts.Log, "sweepd: cache write failed: %v\n", err)
-	if s.disk != nil && s.disk.Degraded() {
-		s.degradedWarn.Do(func() {
-			fmt.Fprintf(s.opts.Log, "sweepd: WARNING: store degraded to memory-only memoization; finished cells are no longer durable and peers cannot see them\n")
-		})
-	}
-}
-
-// runCell performs the actual simulation with the cell deadline and
-// the drain-abort flag folded into one polled cancel hook, which
-// Cell.Run latches.
-func (s *Server) runCell(c *cell) (hetsim.Results, error) {
+// runCell runs the cell through the read-through step, with the cell
+// deadline and the drain-abort flag folded into one polled cancel
+// hook, which Cell.Run latches. hit reports a store hit.
+func (s *Server) runCell(c *cell) (res hetsim.Results, hit bool, err error) {
 	run := c.Cell
 	var deadline time.Time
 	if s.opts.CellTimeout > 0 {
@@ -531,14 +508,19 @@ func (s *Server) runCell(c *cell) (hetsim.Results, error) {
 	run.Cfg.Cancel = func() bool {
 		return s.aborting.Load() || (!deadline.IsZero() && time.Now().After(deadline))
 	}
-	res, err := run.Run()
+	res, hit, err = exp.ReadThrough(s.cache, c.key, run, s.logf)
 	if errors.Is(err, grid.ErrCanceled) {
 		if s.aborting.Load() {
-			return hetsim.Results{}, fmt.Errorf("sweepd: run aborted by drain deadline")
+			return hetsim.Results{}, false, fmt.Errorf("sweepd: run aborted by drain deadline")
 		}
-		return hetsim.Results{}, fmt.Errorf("sweepd: run exceeded cell deadline %v", s.opts.CellTimeout)
+		return hetsim.Results{}, false, fmt.Errorf("sweepd: run exceeded cell deadline %v", s.opts.CellTimeout)
 	}
-	return res, err
+	return res, hit, err
+}
+
+// logf writes one prefixed line to the operational log.
+func (s *Server) logf(format string, args ...any) {
+	fmt.Fprintf(s.opts.Log, "sweepd: "+format+"\n", args...)
 }
 
 // complete records the finished cell and publishes its epoch series to
@@ -572,7 +554,7 @@ func (s *Server) complete(j *job, c *cell, res hetsim.Results, err error) {
 			[]string{j.ID, c.Bench, j.Spec.Param, c.Value}); werr == nil {
 			chunk = buf.Bytes()
 		} else {
-			fmt.Fprintf(s.opts.Log, "sweepd: epoch encode failed: %v\n", werr)
+			s.logf("epoch encode failed: %v", werr)
 		}
 	}
 

@@ -381,6 +381,15 @@ func TestSweepdTopologyJob(t *testing.T) {
 	}
 }
 
+// TestSweepdBadFlags: a negative cache cap is refused before the
+// server opens anything.
+func TestSweepdBadFlags(t *testing.T) {
+	var errb bytes.Buffer
+	if code := realMain([]string{"-cache-max-bytes", "-1"}, &errb); code != 2 {
+		t.Fatalf("negative -cache-max-bytes: exit %d, want 2 (stderr: %s)", code, errb.String())
+	}
+}
+
 // TestSweepdBadSpecs pins the submit-side validation.
 func TestSweepdBadSpecs(t *testing.T) {
 	dir := t.TempDir()

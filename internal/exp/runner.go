@@ -40,14 +40,10 @@ type Options struct {
 	// nothing.
 	Faults faults.Config
 	// Store, when non-nil, adds a durable tier under the in-memory
-	// memo: every run is looked up on disk before executing and written
-	// back after (the -cache-dir flag). Determinism makes hits exact
-	// stand-ins for re-runs, so output is byte-identical either way.
-	// The interface seam (rather than the concrete *store.Store) is
-	// what lets the chaos harness inject disk faults underneath whole
-	// experiment sweeps; store write failures are logged warnings, so a
-	// flaky or full disk degrades runs to memory-only memoization
-	// instead of failing them.
+	// memo (the -cache-dir flag): every run reads through it (see
+	// ReadThrough). Determinism makes hits exact stand-ins for re-runs,
+	// so output is byte-identical either way. The interface seam lets
+	// the chaos harness inject disk faults underneath whole sweeps.
 	Store store.Interface
 }
 
@@ -71,9 +67,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Runner executes and memoizes paired (shared+alone) runs. It is safe
-// for concurrent use: figure functions submit whole sweeps up front
-// and collect results in deterministic order.
+// Runner executes and memoizes grid cells. It is safe for concurrent
+// use: callers submit whole sweeps up front and collect results in
+// deterministic order.
 type Runner struct {
 	Opts Options
 	// pool is keyed by each cell's store key, a comparable struct (see
@@ -102,45 +98,66 @@ func (r *Runner) Stats() runpool.Stats { return r.pool.Stats() }
 // Workers reports the effective parallel run bound.
 func (r *Runner) Workers() int { return r.pool.Workers() }
 
-// Start schedules one benchmark under one configuration on the pool
-// and returns its future without waiting. Submitting an already
-// scheduled (or finished) pair joins the existing run.
-func (r *Runner) Start(cfg core.SystemConfig, bench string) *runpool.Task[core.Results] {
+// Start schedules one cell on the pool and returns its future without
+// waiting. Submitting an already scheduled (or finished) cell joins the
+// existing run, so a grid listing the same cell twice simulates it once.
+func (r *Runner) Start(c grid.Cell) *runpool.Task[core.Results] {
+	key := c.Key()
+	return r.pool.Submit(key, func() (core.Results, error) {
+		start := time.Now()
+		res, _, err := ReadThrough(r.Opts.Store, key, c, r.logf)
+		if err == nil {
+			// Epoch series ride inside stored Results, so warm sweeps
+			// emit the same epoch CSV/JSONL as cold ones.
+			r.recordEpochs(c.Cfg.Name, c.Bench, res.Epochs)
+			r.progress(c.Cfg.Name, c.Bench, time.Since(start))
+		}
+		return res, err
+	})
+}
+
+// ReadThrough is the one cache-through step every front end runs a
+// cell through: a verified entry for key in st replaces the run, and a
+// miss runs the cell and writes its result back; hit reports a store
+// hit. st may be nil (no durable tier). A failed write is a warning
+// through logf, never an error, so a flaky or full disk degrades to
+// memory-only memoization. The bare store.ErrDegraded a degraded store
+// fails fast with is not logged: the store hands the cause to exactly
+// one Put, so each degradation warns once.
+func ReadThrough(st store.Interface, key store.RunKey, c grid.Cell, logf func(format string, args ...any)) (res core.Results, hit bool, err error) {
+	if st != nil {
+		if res, ok := st.Get(key); ok {
+			return res, true, nil
+		}
+	}
+	if res, err = c.Run(); err != nil || st == nil {
+		return res, false, err
+	}
+	if err := st.Put(key, res); err != nil && err != store.ErrDegraded {
+		logf("cache write failed for %s/%s: %v", c.Cfg.Name, c.Bench, err)
+	}
+	return res, false, nil
+}
+
+// cell is a figure's (config, benchmark) pair as a paired run under
+// the sweep-wide cores, seed and fault environment.
+func (r *Runner) cell(cfg core.SystemConfig, bench string) grid.Cell {
 	cfg.NCores = r.Opts.NCores
 	cfg.Seed = r.Opts.Seed
 	if !cfg.Faults.Active() && r.Opts.Faults.Active() {
 		cfg.Faults = r.Opts.Faults
 	}
-	c := grid.Cell{Cfg: cfg, Bench: bench, Scale: r.Opts.Scale, Pair: true}
-	key := c.Key()
-	return r.pool.Submit(key, func() (core.Results, error) {
-		// Disk tier: a verified entry replaces the run outright. Epoch
-		// series ride inside the stored Results, so warm sweeps emit
-		// the same epoch CSV/JSONL as cold ones.
-		st := r.Opts.Store
-		if st != nil {
-			if res, ok := st.Get(key); ok {
-				r.recordEpochs(c.Cfg.Name, c.Bench, res.Epochs)
-				r.progress(c.Cfg.Name, c.Bench, 0)
-				return res, nil
-			}
-		}
-		start := time.Now()
-		res, err := c.Run()
-		if err != nil {
-			return core.Results{}, err
-		}
-		r.recordEpochs(c.Cfg.Name, c.Bench, res.Epochs)
-		r.progress(c.Cfg.Name, c.Bench, time.Since(start))
-		if st != nil {
-			if err := st.Put(key, res); err != nil && r.Opts.Log != nil {
-				r.logMu.Lock()
-				fmt.Fprintf(r.Opts.Log, "  cache write failed for %s/%s: %v\n", c.Cfg.Name, c.Bench, err)
-				r.logMu.Unlock()
-			}
-		}
-		return res, nil
-	})
+	return grid.Cell{Cfg: cfg, Bench: bench, Scale: r.Opts.Scale, Pair: true}
+}
+
+// logf writes one indented line to Opts.Log (nil = quiet).
+func (r *Runner) logf(format string, args ...any) {
+	if r.Opts.Log == nil {
+		return
+	}
+	r.logMu.Lock()
+	defer r.logMu.Unlock()
+	fmt.Fprintf(r.Opts.Log, "  "+format+"\n", args...)
 }
 
 // progress emits one per-run completion line (mutex-guarded; run
@@ -164,7 +181,7 @@ func (r *Runner) progress(cfgName, bench string, d time.Duration) {
 func (r *Runner) Submit(cfgs ...core.SystemConfig) {
 	for _, cfg := range cfgs {
 		for _, b := range r.Opts.Benchmarks {
-			r.Start(cfg, b)
+			r.Start(r.cell(cfg, b))
 		}
 	}
 }
@@ -175,7 +192,7 @@ func (r *Runner) Submit(cfgs ...core.SystemConfig) {
 // may mutate them (slices and epoch series included) without poisoning
 // what later Runs of the same pair observe.
 func (r *Runner) Run(cfg core.SystemConfig, bench string) (core.Results, error) {
-	res, err := r.Start(cfg, bench).Wait()
+	res, err := r.Start(r.cell(cfg, bench)).Wait()
 	if err != nil {
 		return res, err
 	}

@@ -65,7 +65,13 @@ func TestMemoReturnsDeepCopy(t *testing.T) {
 // by st and returns results keyed by config/bench.
 func runStoreSweep(t *testing.T, workers int, st *store.Store) (map[string]core.Results, *Runner) {
 	t.Helper()
-	r := NewRunner(storeOpts(workers, st))
+	return runStoreSweepOpts(t, storeOpts(workers, st))
+}
+
+// runStoreSweepOpts is runStoreSweep over arbitrary options.
+func runStoreSweepOpts(t *testing.T, opts Options) (map[string]core.Results, *Runner) {
+	t.Helper()
+	r := NewRunner(opts)
 	cfgs := []core.SystemConfig{core.Baseline(0), core.RL(0)}
 	r.Submit(cfgs...)
 	out := map[string]core.Results{}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"syscall"
 	"testing"
 )
@@ -146,6 +148,55 @@ func TestDegradedModeLatchesAndRecovers(t *testing.T) {
 	}
 	if _, ok := s.Get(k2); !ok {
 		t.Fatal("post-recovery entry not served")
+	}
+}
+
+// TestConcurrentDegradeReportsCauseOnce: two first Puts that both hit
+// ENOSPC race to latch the store degraded. Exactly one wins the latch
+// and returns ErrDegraded wrapping the cause; the loser, and every Put
+// after, returns bare ErrDegraded — the contract that lets callers
+// warn once per degradation by ignoring the bare error.
+func TestConcurrentDegradeReportsCauseOnce(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const racers = 2
+	oldF := fsyncFile
+	defer func() { fsyncFile = oldF }()
+	// Hold every failing sync until all racers have reached it, so both
+	// Puts pass the latch check before either sets it.
+	var arrived sync.WaitGroup
+	arrived.Add(racers)
+	fsyncFile = func(f *os.File) error {
+		arrived.Done()
+		arrived.Wait()
+		return fmt.Errorf("write: %w", syscall.ENOSPC)
+	}
+	errs := make([]error, racers)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = s.Put(testKey("mcf", uint64(i)), testResults("mcf"))
+		}()
+	}
+	wg.Wait()
+	errs = append(errs, s.Put(testKey("lbm", 1), testResults("lbm")))
+
+	wrapped := 0
+	for i, err := range errs {
+		switch {
+		case err == ErrDegraded:
+		case errors.Is(err, ErrDegraded) && strings.Contains(err.Error(), syscall.ENOSPC.Error()):
+			wrapped++
+		default:
+			t.Fatalf("Put %d: got %v, want ErrDegraded", i, err)
+		}
+	}
+	if wrapped != 1 {
+		t.Fatalf("%d Puts reported the cause, want exactly 1: %v", wrapped, errs)
 	}
 }
 

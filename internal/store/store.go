@@ -178,8 +178,9 @@ var (
 // entry, but an fsynced rename never produces one in the first place.
 //
 // A Put on a full or read-only filesystem flips the store into
-// degraded mode: this Put fails with the underlying error, every
-// subsequent Put fails fast with ErrDegraded (no doomed I/O per run),
+// degraded mode: the one Put that flips the latch fails with
+// ErrDegraded wrapping the underlying error, every other Put fails
+// fast with bare ErrDegraded (so callers warn once per degradation),
 // and Writable re-probes and recovers.
 func (s *Store) Put(k RunKey, res core.Results) error {
 	if s.degraded.Load() {
@@ -193,7 +194,9 @@ func (s *Store) Put(k RunKey, res core.Results) error {
 	path := s.objectPath(hash)
 	if err := s.install(path, b); err != nil {
 		if degradeClass(err) {
-			s.degraded.Store(true)
+			if !s.degraded.CompareAndSwap(false, true) {
+				return ErrDegraded
+			}
 			return fmt.Errorf("%w: %v", ErrDegraded, err)
 		}
 		return err
