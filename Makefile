@@ -57,7 +57,8 @@ faults:
 	$(GO) run ./cmd/experiments -only faults -scale test \
 		-benchmarks libquantum,mcf,lbm -j 0
 
-# The root benchmarks (one per paper table/figure, plus simulator speed)
+# The root benchmarks (BenchmarkExperiments, one sub-benchmark per paper
+# table/figure, plus simulator speed)
 # for local use. Wall time is not a gate here: speed claims go through
 # cmd/hetbench -compare, and exact work counters are pinned by the work
 # section of internal/core/testdata/organizations.golden.

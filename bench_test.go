@@ -1,18 +1,20 @@
-// Benchmark harness: one testing.B benchmark per table/figure of the
-// paper's evaluation. Each benchmark regenerates its figure at a
-// reduced (but statistically stable) scale and publishes the headline
-// numbers as custom metrics, so
+// Benchmark harness: BenchmarkExperiments regenerates every table and
+// figure of the paper's evaluation, one sub-benchmark per entry of
+// exp.Experiments, at a reduced (but statistically stable) scale and
+// publishes the headline numbers as custom metrics, so
 //
-//	go test -bench=. -benchmem
+//	go test -bench=Experiments -benchmem
 //
 // reproduces the whole evaluation and prints paper-comparable values
-// (see EXPERIMENTS.md for the recorded paper-vs-measured table).
+// (see EXPERIMENTS.md for the recorded paper-vs-measured table), and
+// -bench Experiments/fig6 regenerates one figure.
 //
 // The full suite at paper scale is reachable via
 // cmd/experiments -scale paper.
 package hetsim_test
 
 import (
+	"strings"
 	"testing"
 
 	"hetsim"
@@ -26,290 +28,35 @@ import (
 // sweep lives in cmd/experiments.
 var benchSubset = []string{"libquantum", "leslie3d", "stream", "mg", "mcf", "lbm", "bzip2", "sjeng"}
 
-func benchOpts() exp.Options {
-	return exp.Options{
+// BenchmarkExperiments runs each experiment on a fresh runner per
+// iteration and reports every headline's measured value, in percent,
+// as a metric named after the headline. Under -short it runs at
+// QuickScale on two benchmarks, so CI can execute one iteration of
+// every experiment cheaply. Workers 0 fans simulation runs across all
+// cores; the numbers are identical at any worker count.
+func BenchmarkExperiments(b *testing.B) {
+	opts := exp.Options{
 		Scale:      core.RunScale{PrewarmOps: 100_000, WarmupReads: 1000, MeasureReads: 8000, MaxCycles: 120_000_000},
 		Benchmarks: benchSubset,
 		NCores:     8,
 		Seed:       1,
-		// Workers 0 fans simulation runs across all cores via
-		// internal/runpool; figure numbers are identical to -j 1.
-		Workers: 0,
 	}
-}
-
-func BenchmarkTable2Timing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if exp.Table2() == "" {
-			b.Fatal("empty table")
-		}
+	if testing.Short() {
+		opts.Scale = core.QuickScale()
+		opts.Benchmarks = benchSubset[:2]
 	}
-}
-
-func BenchmarkFig1aHomogeneous(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		res, err := exp.Fig1a(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((res.MeanRLD-1)*100, "%rldram3-gain")
-		b.ReportMetric((res.MeanLP-1)*100, "%lpddr2-gain")
-	}
-}
-
-func BenchmarkFig1bLatencyBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		res, err := exp.Fig1b(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Queue["DDR3-baseline"], "ddr3-queue-cyc")
-		b.ReportMetric(res.Queue["RLDRAM3-homog"], "rldram3-queue-cyc")
-	}
-}
-
-func BenchmarkFig2PowerCurves(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := exp.Fig2()
-		b.ReportMetric(res.PowerMW["RLDRAM3"][0], "rldram3-idle-mW")
-		b.ReportMetric(res.PowerMW["LPDDR2"][0], "lpddr2-idle-mW")
-	}
-}
-
-func BenchmarkFig3PerLineCensus(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := benchOpts()
-		opts.Benchmarks = []string{"leslie3d", "mcf"}
-		r := exp.NewRunner(opts)
-		res, err := exp.Fig3(r, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(res.TopLines["leslie3d"])), "lines-censused")
-	}
-}
-
-func BenchmarkFig4CriticalWords(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		res, err := exp.Fig4(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MeanWord0*100, "%word0")
-	}
-}
-
-func BenchmarkFig6Throughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		res, err := exp.Fig6(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((res.MeanRD-1)*100, "%rd-gain")
-		b.ReportMetric((res.MeanRL-1)*100, "%rl-gain")
-		b.ReportMetric((res.MeanDL-1)*100, "%dl-gain")
-	}
-}
-
-func BenchmarkFig7CritLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		res, err := exp.Fig7(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.ReductionRD*100, "%rd-reduction")
-		b.ReportMetric(res.ReductionRL*100, "%rl-reduction")
-	}
-}
-
-func BenchmarkFig8ServedByRLDRAM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		res, err := exp.Fig8(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Mean*100, "%served-fast")
-	}
-}
-
-func BenchmarkFig9Placement(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		res, err := exp.Fig9(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((res.MeanAD-1)*100, "%adaptive-gain")
-		b.ReportMetric((res.MeanOR-1)*100, "%oracle-gain")
-	}
-}
-
-func BenchmarkFig10SystemEnergy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		res, err := exp.Fig10(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((res.MeanRL-1)*100, "%rl-sysenergy")
-		b.ReportMetric((res.MeanRLMemEnergy-1)*100, "%rl-memenergy")
-	}
-}
-
-func BenchmarkFig11EnergyVsUtil(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		res, err := exp.Fig11(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.HighMinusLow*100, "%high-minus-low")
-	}
-}
-
-func BenchmarkRandomMapping(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		res, err := exp.RandomMapping(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((res.Mean-1)*100, "%random-gain")
-	}
-}
-
-func BenchmarkNoPrefetcher(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		res, err := exp.NoPrefetcher(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((res.MeanWith-1)*100, "%gain-with-pf")
-		b.ReportMetric((res.MeanWithout-1)*100, "%gain-no-pf")
-	}
-}
-
-func BenchmarkReuseGap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		res, err := exp.ReuseGap(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.PerBench["libquantum"]*100, "%tolerant-libquantum")
-	}
-}
-
-func BenchmarkPagePlacement(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := benchOpts()
-		opts.Benchmarks = []string{"libquantum", "leslie3d", "mcf", "bzip2"}
-		r := exp.NewRunner(opts)
-		res, err := exp.PagePlacement(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((res.Mean-1)*100, "%pageplaced-gain")
-	}
-}
-
-func BenchmarkMalladiLPDRAM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := benchOpts()
-		opts.Benchmarks = []string{"libquantum", "mg", "bzip2", "sjeng"}
-		r := exp.NewRunner(opts)
-		res, err := exp.Malladi(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((res.MeanEnergy-1)*100, "%malladi-sysenergy")
-	}
-}
-
-func BenchmarkCmdBusAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := benchOpts()
-		opts.Benchmarks = []string{"milc", "libquantum"}
-		r := exp.NewRunner(opts)
-		res, err := exp.CmdBusAblation(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((res.MeanPrivate-res.MeanShared)*100, "%private-minus-shared")
-	}
-}
-
-func BenchmarkSubRankAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := benchOpts()
-		opts.Benchmarks = []string{"libquantum", "mg"}
-		r := exp.NewRunner(opts)
-		res, err := exp.SubRankAblation(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((res.MeanNarrowPerf-res.MeanWidePerf)*100, "%narrow-minus-wide")
-	}
-}
-
-func BenchmarkSchedulerPolicies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := benchOpts()
-		opts.Benchmarks = []string{"leslie3d", "mcf"}
-		r := exp.NewRunner(opts)
-		res, err := exp.SchedulerPolicies(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MeanFCFS, "fcfs-vs-frfcfs")
-		b.ReportMetric(res.MeanClosePage, "closepage-vs-openpage")
-	}
-}
-
-func BenchmarkAddressMapping(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := benchOpts()
-		opts.Benchmarks = []string{"libquantum", "mcf"}
-		r := exp.NewRunner(opts)
-		res, err := exp.AddressMapping(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Means["bank-first"], "bank-first-vs-openrow")
-	}
-}
-
-func BenchmarkROBSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := benchOpts()
-		opts.Benchmarks = []string{"libquantum"}
-		r := exp.NewRunner(opts)
-		res, err := exp.ROBSensitivity(r, []int{32, 64, 128})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((res.Gains[0]-1)*100, "%gain-rob32")
-		b.ReportMetric((res.Gains[2]-1)*100, "%gain-rob128")
-	}
-}
-
-func BenchmarkFutureHMC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := benchOpts()
-		opts.Benchmarks = []string{"libquantum", "mcf"}
-		r := exp.NewRunner(opts)
-		res, err := exp.FutureHMC(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((res.MeanHMC-1)*100, "%hmc-gain")
+	for _, e := range exp.Experiments(nil) {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep, err := e.Run(exp.NewRunner(opts))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, h := range rep.Headlines {
+					b.ReportMetric(h.Measured*100, "%"+strings.Join(strings.Fields(h.Label), "-"))
+				}
+			}
+		})
 	}
 }
 

@@ -9,44 +9,6 @@ import (
 	"hetsim/internal/workload"
 )
 
-// RandomMappingResult is the §6.1.1 placement control.
-type RandomMappingResult struct {
-	PerBench map[string]float64
-	Mean     float64
-	Worst    float64
-	Table    string
-}
-
-// RandomMapping places a random word per line on the fast channel
-// (paper: only +2.1% mean, with severe regressions for some programs —
-// intelligent mapping is what earns the gains).
-func RandomMapping(r *Runner) (RandomMappingResult, error) {
-	out := RandomMappingResult{PerBench: map[string]float64{}, Worst: 10}
-	tb := &stats.Table{Title: "§6.1.1: random critical word mapping (normalized throughput)",
-		Headers: []string{"benchmark", "RL-random"}}
-	cfg := core.RL(0)
-	cfg.Placement = core.PlaceRandom
-	cfg.Name = "RL-random"
-	r.Submit(core.Baseline(0), cfg)
-	var vals []float64
-	for _, b := range r.Opts.Benchmarks {
-		n, _, err := r.normalize(cfg, b)
-		if err != nil {
-			return out, err
-		}
-		out.PerBench[b] = n
-		vals = append(vals, n)
-		if n < out.Worst {
-			out.Worst = n
-		}
-		tb.AddRowf(b, "%.3f", n)
-	}
-	out.Mean = stats.GeoMean(vals)
-	tb.AddRowf("geomean", "%.3f", out.Mean)
-	out.Table = tb.String()
-	return out, nil
-}
-
 // NoPrefetcherResult is the §6.1.1 prefetcher ablation.
 type NoPrefetcherResult struct {
 	// MeanWith and MeanWithout are the RL gains over the *matching*

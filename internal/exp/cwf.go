@@ -5,60 +5,6 @@ import (
 	"hetsim/internal/stats"
 )
 
-// Fig6Result is the headline heterogeneous throughput comparison.
-type Fig6Result struct {
-	PerBench map[string][3]float64 // RD, RL, DL normalized throughput
-	MeanRD   float64
-	MeanRL   float64
-	MeanDL   float64
-	Table    string
-}
-
-// Fig6 measures RD/RL/DL throughput normalized to the DDR3 baseline
-// (paper: RD +21%, RL +12.9%, DL −9%).
-func Fig6(r *Runner) (Fig6Result, error) {
-	r.Submit(core.Baseline(0), core.RD(0), core.RL(0), core.DL(0))
-	out := Fig6Result{PerBench: map[string][3]float64{}}
-	tb := &stats.Table{Title: "Figure 6: CWF system throughput (normalized to DDR3 baseline)",
-		Headers: []string{"benchmark", "RD", "RL", "DL"}}
-	var rd, rl, dl []float64
-	for _, b := range r.Opts.Benchmarks {
-		nRD, _, err := r.normalize(core.RD(0), b)
-		if err != nil {
-			return out, err
-		}
-		nRL, _, err := r.normalize(core.RL(0), b)
-		if err != nil {
-			return out, err
-		}
-		nDL, _, err := r.normalize(core.DL(0), b)
-		if err != nil {
-			return out, err
-		}
-		out.PerBench[b] = [3]float64{nRD, nRL, nDL}
-		rd = append(rd, nRD)
-		rl = append(rl, nRL)
-		dl = append(dl, nDL)
-		tb.AddRowf(b, "%.3f", nRD, nRL, nDL)
-	}
-	out.MeanRD, out.MeanRL, out.MeanDL = stats.GeoMean(rd), stats.GeoMean(rl), stats.GeoMean(dl)
-	tb.AddRowf("geomean", "%.3f", out.MeanRD, out.MeanRL, out.MeanDL)
-	out.Table = tb.String()
-	return out, nil
-}
-
-// RLChart renders the RL column of Figure 6 as ASCII bars against the
-// baseline reference.
-func (r Fig6Result) RLChart() string {
-	labels := stats.SortedKeys(r.PerBench)
-	vals := make([]float64, len(labels))
-	for i, b := range labels {
-		vals[i] = r.PerBench[b][1]
-	}
-	return stats.BarChart("Figure 6, RL bars ('|' marks the DDR3 baseline):",
-		labels, vals, 1.0, 48)
-}
-
 // Fig7Result is the requested-critical-word latency comparison.
 type Fig7Result struct {
 	PerBench map[string][4]float64 // baseline, RD, RL, DL mean latency
@@ -132,61 +78,6 @@ func Fig8(r *Runner) (Fig8Result, error) {
 	}
 	out.Mean = sum / float64(len(r.Opts.Benchmarks))
 	tb.AddRowf("mean", "%.1f", out.Mean*100)
-	out.Table = tb.String()
-	return out, nil
-}
-
-// Fig9Result compares placement policies on the RL configuration.
-type Fig9Result struct {
-	PerBench map[string][4]float64 // RL, RL-AD, RL-OR, RLDRAM3-homog
-	MeanRL   float64
-	MeanAD   float64
-	MeanOR   float64
-	MeanHom  float64
-	Table    string
-}
-
-// Fig9 measures static vs adaptive vs oracle placement and the
-// all-RLDRAM3 bound (paper: +12.9%, +15.7%, +28%, higher still).
-func Fig9(r *Runner) (Fig9Result, error) {
-	out := Fig9Result{PerBench: map[string][4]float64{}}
-	tb := &stats.Table{Title: "Figure 9: placement policies (throughput normalized to DDR3)",
-		Headers: []string{"benchmark", "RL", "RL-AD", "RL-OR", "RLDRAM3"}}
-	ad := core.RL(0)
-	ad.Placement = core.PlaceAdaptive
-	ad.Name = "RL-AD"
-	or := core.RL(0)
-	or.Placement = core.PlaceOracle
-	or.Name = "RL-OR"
-	r.Submit(core.Baseline(0), core.RL(0), ad, or, core.HomogeneousRLDRAM3(0))
-	var rl, adm, orm, hom []float64
-	for _, b := range r.Opts.Benchmarks {
-		nRL, _, err := r.normalize(core.RL(0), b)
-		if err != nil {
-			return out, err
-		}
-		nAD, _, err := r.normalize(ad, b)
-		if err != nil {
-			return out, err
-		}
-		nOR, _, err := r.normalize(or, b)
-		if err != nil {
-			return out, err
-		}
-		nHom, _, err := r.normalize(core.HomogeneousRLDRAM3(0), b)
-		if err != nil {
-			return out, err
-		}
-		out.PerBench[b] = [4]float64{nRL, nAD, nOR, nHom}
-		rl = append(rl, nRL)
-		adm = append(adm, nAD)
-		orm = append(orm, nOR)
-		hom = append(hom, nHom)
-		tb.AddRowf(b, "%.3f", nRL, nAD, nOR, nHom)
-	}
-	out.MeanRL, out.MeanAD = stats.GeoMean(rl), stats.GeoMean(adm)
-	out.MeanOR, out.MeanHom = stats.GeoMean(orm), stats.GeoMean(hom)
-	tb.AddRowf("geomean", "%.3f", out.MeanRL, out.MeanAD, out.MeanOR, out.MeanHom)
 	out.Table = tb.String()
 	return out, nil
 }

@@ -7,53 +7,6 @@ import (
 	"hetsim/internal/topology"
 )
 
-// CmdBusResult is the §4.2.4/§6.1.2 shared-command-bus ablation.
-type CmdBusResult struct {
-	// PerBench maps benchmark -> [shared, private] normalized
-	// throughput under the oracle placement (which maximizes critical
-	// channel pressure — §6.1.2 names the shared bus as RL-OR's
-	// bottleneck for mcf/milc/lbm).
-	PerBench    map[string][2]float64
-	MeanShared  float64
-	MeanPrivate float64
-	Table       string
-}
-
-// CmdBusAblation compares the aggregated (one 38-bit bus, the shipping
-// design) against four private buses (the §4.2.2 starting point that
-// costs 3x more address pins).
-func CmdBusAblation(r *Runner) (CmdBusResult, error) {
-	out := CmdBusResult{PerBench: map[string][2]float64{}}
-	tb := &stats.Table{Title: "§4.2.4 ablation: shared vs private critical cmd bus (RL-OR throughput)",
-		Headers: []string{"benchmark", "shared", "private"}}
-	shared := core.RL(0)
-	shared.Placement = core.PlaceOracle
-	shared.Name = "RL-OR"
-	private := shared
-	private.Topology = topology.CWF(dram.RLDRAM3, core.Channels, dram.LPDDR2, core.Channels, topology.BusPrivate, false)
-	private.Name = "RL-OR-privbus"
-	r.Submit(core.Baseline(0), shared, private)
-	var sh, pr []float64
-	for _, b := range r.Opts.Benchmarks {
-		nS, _, err := r.normalize(shared, b)
-		if err != nil {
-			return out, err
-		}
-		nP, _, err := r.normalize(private, b)
-		if err != nil {
-			return out, err
-		}
-		out.PerBench[b] = [2]float64{nS, nP}
-		sh = append(sh, nS)
-		pr = append(pr, nP)
-		tb.AddRowf(b, "%.3f", nS, nP)
-	}
-	out.MeanShared, out.MeanPrivate = stats.GeoMean(sh), stats.GeoMean(pr)
-	tb.AddRowf("geomean", "%.3f", out.MeanShared, out.MeanPrivate)
-	out.Table = tb.String()
-	return out, nil
-}
-
 // SubRankResult is the §4.2.4 narrow-rank ablation.
 type SubRankResult struct {
 	// PerBench maps benchmark -> [narrow x9 ranks, wide 4-chip rank]

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"sort"
 
 	"hetsim/internal/core"
@@ -185,9 +184,4 @@ func Malladi(r *Runner) (MalladiResult, error) {
 	tb.AddRowf("geomean", "%.3f", out.MeanEnergy, out.MeanPerfVsRL)
 	out.Table = tb.String()
 	return out, nil
-}
-
-// FormatSummary renders a one-line paper-vs-measured comparison.
-func FormatSummary(label string, paper, measured float64) string {
-	return fmt.Sprintf("%-34s paper %+6.1f%%  measured %+6.1f%%", label, paper*100, measured*100)
 }

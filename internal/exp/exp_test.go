@@ -24,11 +24,11 @@ func TestFig1aShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MeanRLD <= 1.0 {
-		t.Errorf("RLDRAM3 homogeneous mean %v not above baseline", res.MeanRLD)
+	if rld := res.Means[1]; rld <= 1.0 {
+		t.Errorf("RLDRAM3 homogeneous mean %v not above baseline", rld)
 	}
-	if res.MeanLP >= 1.0 {
-		t.Errorf("LPDDR2 homogeneous mean %v not below baseline", res.MeanLP)
+	if lp := res.Means[2]; lp >= 1.0 {
+		t.Errorf("LPDDR2 homogeneous mean %v not below baseline", lp)
 	}
 	if !strings.Contains(res.Table, "libquantum") {
 		t.Error("table missing benchmark row")
@@ -113,13 +113,14 @@ func TestFig6And7And8Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rd, rl, dl := f6.Means[0], f6.Means[1], f6.Means[2]
 	// RD must not lose to RL on average (faster line channel).
-	if f6.MeanRD < f6.MeanRL*0.97 {
-		t.Errorf("RD %v well below RL %v", f6.MeanRD, f6.MeanRL)
+	if rd < rl*0.97 {
+		t.Errorf("RD %v well below RL %v", rd, rl)
 	}
 	// DL must be the weakest of the three.
-	if f6.MeanDL > f6.MeanRL || f6.MeanDL > f6.MeanRD {
-		t.Errorf("DL %v not the weakest (RD %v RL %v)", f6.MeanDL, f6.MeanRD, f6.MeanRL)
+	if dl > rl || dl > rd {
+		t.Errorf("DL %v not the weakest (RD %v RL %v)", dl, rd, rl)
 	}
 	f7, err := Fig7(r)
 	if err != nil {
@@ -187,8 +188,8 @@ func TestRandomMappingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(rnd.Mean < f6.MeanRL) {
-		t.Errorf("random mapping %v not below intelligent %v", rnd.Mean, f6.MeanRL)
+	if !(rnd.Means[0] < f6.Means[1]) {
+		t.Errorf("random mapping %v not below intelligent %v", rnd.Means[0], f6.Means[1])
 	}
 }
 
@@ -294,8 +295,8 @@ func TestCmdBusAblationShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Private buses remove contention: never slower than shared.
-	if res.MeanPrivate < res.MeanShared*0.97 {
-		t.Errorf("private cmd bus %v well below shared %v", res.MeanPrivate, res.MeanShared)
+	if shared, private := res.Means[0], res.Means[1]; private < shared*0.97 {
+		t.Errorf("private cmd bus %v well below shared %v", private, shared)
 	}
 }
 
@@ -324,8 +325,8 @@ func TestFutureHMCShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stacked links beat DIMM buses: the HMC system must not lose to RL.
-	if res.MeanHMC < res.MeanRL*0.97 {
-		t.Errorf("HMC-hetero %v well below RL %v", res.MeanHMC, res.MeanRL)
+	if rl, hmc := res.Means[0], res.Means[1]; hmc < rl*0.97 {
+		t.Errorf("HMC-hetero %v well below RL %v", hmc, rl)
 	}
 }
 
@@ -337,15 +338,12 @@ func TestAddressMappingShape(t *testing.T) {
 	}
 	// The paper's claim: the open-row mapping is the best-performing
 	// baseline on average.
-	if res.Means["open-row"] != 1.0 {
-		t.Fatalf("open-row mean = %v, want 1.0 by construction", res.Means["open-row"])
+	if res.Columns[0] != "open-row" || res.Means[0] != 1.0 {
+		t.Fatalf("%s mean = %v, want open-row at 1.0 by construction", res.Columns[0], res.Means[0])
 	}
-	for name, m := range res.Means {
-		if name == "open-row" {
-			continue
-		}
+	for i, m := range res.Means[1:] {
 		if m > 1.05 {
-			t.Errorf("%s mean %v beats the open-row baseline by >5%%", name, m)
+			t.Errorf("%s mean %v beats the open-row baseline by >5%%", res.Columns[i+1], m)
 		}
 	}
 }
@@ -376,11 +374,11 @@ func TestSchedulerPoliciesShape(t *testing.T) {
 	// The paper's choices must not lose to the alternatives on a
 	// row-locality-heavy benchmark: FR-FCFS >= FCFS and open-page >=
 	// close-page.
-	if res.MeanFCFS > 1.03 {
-		t.Errorf("FCFS %v beats FR-FCFS", res.MeanFCFS)
+	if fcfs := res.Means[0]; fcfs > 1.03 {
+		t.Errorf("FCFS %v beats FR-FCFS", fcfs)
 	}
-	if res.MeanClosePage > 1.03 {
-		t.Errorf("close-page %v beats open-page", res.MeanClosePage)
+	if cp := res.Means[1]; cp > 1.03 {
+		t.Errorf("close-page %v beats open-page", cp)
 	}
 }
 
@@ -390,14 +388,14 @@ func TestFigureCharts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(f6.RLChart(), "libquantum") || !strings.Contains(f6.RLChart(), "#") {
-		t.Fatalf("RL chart malformed:\n%s", f6.RLChart())
+	if chart := f6.Chart("Figure 6, RL bars", 1); !strings.Contains(chart, "libquantum") || !strings.Contains(chart, "#") {
+		t.Fatalf("RL chart malformed:\n%s", chart)
 	}
 	f1, err := Fig1a(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(f1.Chart(), "#") {
+	if !strings.Contains(f1.Chart("Figure 1a, all-RLDRAM3 bars", 1), "#") {
 		t.Fatal("Fig1a chart malformed")
 	}
 }

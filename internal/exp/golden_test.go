@@ -30,37 +30,27 @@ func TestGoldenPaperDirections(t *testing.T) {
 	or := core.RL(0)
 	or.Placement = core.PlaceOracle
 	or.Name = "RL-OR"
-	cfgs := []core.SystemConfig{
-		core.Baseline(0), core.RD(0), core.RL(0), or, core.HomogeneousRLDRAM3(0)}
-	r.Submit(cfgs...)
-
-	norm := map[string][]float64{}
-	critBase, critRD, critRL := []float64{}, []float64{}, []float64{}
-	for _, b := range benches {
-		base, err := r.Baseline(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cfg := range cfgs[1:] {
-			n, res, err := r.normalize(cfg, b)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", cfg.Name, b, err)
-			}
-			norm[cfg.Name] = append(norm[cfg.Name], n)
-			switch cfg.Name {
-			case "RD":
-				critRD = append(critRD, res.CritLatency)
-			case "RL":
-				critRL = append(critRL, res.CritLatency)
-			}
-		}
-		critBase = append(critBase, base.CritLatency)
+	s, err := study(r, "paper directions",
+		column{"RD", core.RD(0)}, column{"RL", core.RL(0)}, column{"RL-OR", or},
+		column{"RLDRAM3-homog", core.HomogeneousRLDRAM3(0)})
+	if err != nil {
+		t.Fatal(err)
 	}
+	// crit collects one config's mean critical word latency per benchmark.
+	crit := func(cfg core.SystemConfig) []float64 {
+		var out []float64
+		for _, b := range benches {
+			res, err := r.Run(cfg, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res.CritLatency)
+		}
+		return out
+	}
+	critBase, critRD, critRL := crit(core.Baseline(0)), crit(core.RD(0)), crit(core.RL(0))
 
-	meanRD := stats.GeoMean(norm["RD"])
-	meanRL := stats.GeoMean(norm["RL"])
-	meanOR := stats.GeoMean(norm["RL-OR"])
-	meanHom := stats.GeoMean(norm["RLDRAM3-homog"])
+	meanRD, meanRL, meanOR, meanHom := s.Means[0], s.Means[1], s.Means[2], s.Means[3]
 	t.Logf("geomeans: RD %.3f RL %.3f RL-OR %.3f RLDRAM3 %.3f", meanRD, meanRL, meanOR, meanHom)
 
 	// Headline gains: RD and RL beat the DDR3 baseline (paper: +21%,
@@ -77,9 +67,9 @@ func TestGoldenPaperDirections(t *testing.T) {
 		t.Errorf("oracle placement %.3f below static %.3f", meanOR, meanRL)
 	}
 	// The all-RLDRAM3 system is the upper bound of the study.
-	for name, vals := range norm {
-		if m := stats.GeoMean(vals); m > meanHom*1.01 {
-			t.Errorf("%s geomean %.3f exceeds the all-RLDRAM3 bound %.3f", name, m, meanHom)
+	for i, m := range s.Means {
+		if m > meanHom*1.01 {
+			t.Errorf("%s geomean %.3f exceeds the all-RLDRAM3 bound %.3f", s.Columns[i], m, meanHom)
 		}
 	}
 	// Critical word latency falls under both heterogeneous systems

@@ -11,54 +11,6 @@ import (
 	"hetsim/internal/workload"
 )
 
-// Fig1aResult is the homogeneous-throughput sensitivity study.
-type Fig1aResult struct {
-	PerBench map[string][3]float64 // [DDR3=1, RLDRAM3, LPDDR2] normalized
-	MeanRLD  float64
-	MeanLP   float64
-	Table    string
-}
-
-// Fig1a measures throughput of homogeneous RLDRAM3 and LPDDR2 systems
-// normalized to the DDR3 baseline (paper: +31% and −13%).
-func Fig1a(r *Runner) (Fig1aResult, error) {
-	r.Submit(core.Baseline(0), core.HomogeneousRLDRAM3(0), core.HomogeneousLPDDR2(0))
-	out := Fig1aResult{PerBench: map[string][3]float64{}}
-	tb := &stats.Table{Title: "Figure 1a: homogeneous system throughput (normalized to DDR3)",
-		Headers: []string{"benchmark", "DDR3", "RLDRAM3", "LPDDR2"}}
-	var rld, lp []float64
-	for _, b := range r.Opts.Benchmarks {
-		nR, _, err := r.normalize(core.HomogeneousRLDRAM3(0), b)
-		if err != nil {
-			return out, err
-		}
-		nL, _, err := r.normalize(core.HomogeneousLPDDR2(0), b)
-		if err != nil {
-			return out, err
-		}
-		out.PerBench[b] = [3]float64{1, nR, nL}
-		rld = append(rld, nR)
-		lp = append(lp, nL)
-		tb.AddRowf(b, "%.3f", 1, nR, nL)
-	}
-	out.MeanRLD = stats.GeoMean(rld)
-	out.MeanLP = stats.GeoMean(lp)
-	tb.AddRowf("geomean", "%.3f", 1, out.MeanRLD, out.MeanLP)
-	out.Table = tb.String()
-	return out, nil
-}
-
-// Chart renders the homogeneous throughput bars of Figure 1a.
-func (r Fig1aResult) Chart() string {
-	labels := stats.SortedKeys(r.PerBench)
-	vals := make([]float64, len(labels))
-	for i, b := range labels {
-		vals[i] = r.PerBench[b][1] // the RLDRAM3 series
-	}
-	return stats.BarChart("Figure 1a, all-RLDRAM3 bars ('|' marks the DDR3 baseline):",
-		labels, vals, 1.0, 48)
-}
-
 // Fig1bResult is the read latency breakdown per homogeneous system.
 type Fig1bResult struct {
 	// Queue, Core, Xfer mean latencies (CPU cycles) per config.

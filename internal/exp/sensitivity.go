@@ -7,59 +7,6 @@ import (
 	"hetsim/internal/stats"
 )
 
-// MappingResult is the §5 address-interleaving comparison.
-type MappingResult struct {
-	// Mean normalized throughput per scheme, against the open-row
-	// baseline (which therefore reads 1.0).
-	Means map[string]float64
-	Table string
-}
-
-// AddressMapping reproduces the paper's justification for its baseline
-// mapping: the open-row scheme of Jacob et al. "results in the best
-// performing baseline on average when compared to other commonly used
-// address interleaving schemes."
-func AddressMapping(r *Runner) (MappingResult, error) {
-	out := MappingResult{Means: map[string]float64{}}
-	tb := &stats.Table{Title: "§5: baseline DDR3 under different address interleavings",
-		Headers: []string{"benchmark", "open-row", "xor-permuted", "bank-first"}}
-	schemes := []core.Mapping{core.MapDefault, core.MapXOR, core.MapBankFirst}
-	cfgs := make([]core.SystemConfig, len(schemes))
-	for si, m := range schemes {
-		cfg := core.Baseline(0)
-		cfg.LineMapping = m
-		if m != core.MapDefault {
-			cfg.Name = "DDR3-" + m.String()
-		}
-		cfgs[si] = cfg
-	}
-	r.Submit(cfgs...)
-	sums := make([][]float64, len(schemes))
-	rows := map[string][]float64{}
-	for si := range schemes {
-		cfg := cfgs[si]
-		for _, b := range r.Opts.Benchmarks {
-			n, _, err := r.normalize(cfg, b)
-			if err != nil {
-				return out, err
-			}
-			rows[b] = append(rows[b], n)
-			sums[si] = append(sums[si], n)
-		}
-	}
-	for _, b := range r.Opts.Benchmarks {
-		tb.AddRowf(b, "%.3f", rows[b]...)
-	}
-	means := make([]float64, len(schemes))
-	for si, vals := range sums {
-		means[si] = stats.GeoMean(vals)
-		out.Means[schemes[si].String()] = means[si]
-	}
-	tb.AddRowf("geomean", "%.3f", means...)
-	out.Table = tb.String()
-	return out, nil
-}
-
 // ROBResult is the reorder-buffer depth sensitivity of the CWF benefit.
 type ROBResult struct {
 	Sizes []int
