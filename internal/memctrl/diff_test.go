@@ -1,7 +1,13 @@
 package memctrl
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"flag"
 	"fmt"
+	"os"
+	"sort"
+	"strings"
 	"testing"
 
 	"hetsim/internal/dram"
@@ -186,7 +192,64 @@ func diffCases() []diffCase {
 	}
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/cmdtrace.golden")
+
+// cmdTraceGoldenPath pins the scheduler's absolute decisions: one
+// SHA-256 per differential profile over the skip side's command trace,
+// rejects and Stat. The differential alone compares two modes of the
+// same scheduler, so a change that moves both sides in step passes it;
+// this file does not.
+const cmdTraceGoldenPath = "testdata/cmdtrace.golden"
+
+// traceDigest hashes one side's complete observable outcome.
+func traceDigest(trace []diffCmd, rejects int, st Stat) string {
+	h := sha256.New()
+	for _, d := range trace {
+		fmt.Fprintln(h, d)
+	}
+	fmt.Fprintf(h, "rejects %d\nstat %+v\n", rejects, st)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// readCmdTraceGolden loads profile name → digest.
+func readCmdTraceGolden(t *testing.T) map[string]string {
+	t.Helper()
+	want := map[string]string{}
+	f, err := os.Open(cmdTraceGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if fields := strings.Fields(sc.Text()); len(fields) == 2 {
+			want[fields[0]] = fields[1]
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 func TestTickSkipDifferential(t *testing.T) {
+	var want map[string]string
+	digests := map[string]string{}
+	if *updateGolden {
+		t.Cleanup(func() {
+			lines := make([]string, 0, len(digests))
+			for n, h := range digests {
+				lines = append(lines, n+" "+h)
+			}
+			sort.Strings(lines)
+			if err := os.WriteFile(cmdTraceGoldenPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("rewrote %s (%d profiles)", cmdTraceGoldenPath, len(digests))
+		})
+	} else {
+		want = readCmdTraceGolden(t)
+	}
 	for _, tc := range diffCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -222,6 +285,17 @@ func TestTickSkipDifferential(t *testing.T) {
 			}
 			if refStats != gotStats {
 				t.Errorf("stats diverged:\nper-cycle %+v\nskip      %+v", refStats, gotStats)
+			}
+			d := traceDigest(got, gotRej, gotStats)
+			if *updateGolden {
+				digests[tc.name] = d
+				return
+			}
+			switch w, ok := want[tc.name]; {
+			case !ok:
+				t.Errorf("no entry in %s (run with -update to add it)", cmdTraceGoldenPath)
+			case w != d:
+				t.Errorf("command trace digest %s, golden %s: the scheduler's decisions changed", d, w)
 			}
 		})
 	}
