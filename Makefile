@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build fmt vet test race hetbench fuzz faults topologies bench sweepd chaos profile verify
+.PHONY: build fmt vet test race hetbench fuzz faults topologies bench sweepd chaos profile loc verify
 
 build:
 	$(GO) build ./...
@@ -89,5 +89,10 @@ profile:
 	$(GO) run ./cmd/experiments -only fig6 -benchmarks libquantum,mcf -scale test \
 		-cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	@echo "wrote cpu.pprof and mem.pprof"
+
+# The ROADMAP's size metric: lines of tracked non-test Go outside
+# cmd/hetbench (the benchmark harness is a module of its own).
+loc:
+	@git ls-files '*.go' ':!:*_test.go' ':!:cmd/hetbench/*' | xargs cat | wc -l
 
 verify: build fmt vet test race hetbench

@@ -631,9 +631,6 @@ func (h *Hierarchy) Prewarm(coreID int, addr uint64, store bool) {
 // PerLineCensus returns the per-line critical word counts (Figure 3).
 func (h *Hierarchy) PerLineCensus() map[uint64]*[8]uint32 { return h.perLine }
 
-// L2 exposes the LLC for tests and experiments.
-func (h *Hierarchy) L2() *cache.Cache { return h.l2 }
-
 // MSHROccupancy reports current outstanding fills.
 func (h *Hierarchy) MSHROccupancy() int { return h.mshr.Occupancy() }
 

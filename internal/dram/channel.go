@@ -14,7 +14,6 @@ import (
 type CmdBus struct {
 	freeAt     sim.Cycle
 	BusyCycles sim.Cycle
-	owners     int // channels issuing on this bus
 }
 
 // reserve claims the bus for width cycles starting at t.
@@ -22,13 +21,6 @@ func (c *CmdBus) reserve(t, width sim.Cycle) {
 	c.freeAt = t + width
 	c.BusyCycles += width
 }
-
-// free reports whether the bus is idle at t.
-func (c *CmdBus) free(t sim.Cycle) bool { return t >= c.freeAt }
-
-// Shared reports whether more than one channel issues commands on this
-// bus (the §4.2.4 aggregated critical-word configuration).
-func (c *CmdBus) Shared() bool { return c.owners > 1 }
 
 // Never is the next-ready value of a command blocked on something other
 // than time: a bank that must be precharged first, a rank that needs an
@@ -106,7 +98,6 @@ func NewChannel(cfg Config, nRanks int, shared *CmdBus) *Channel {
 	if shared == nil {
 		shared = &CmdBus{}
 	}
-	shared.owners++
 	ch := &Channel{Cfg: cfg, Cmd: shared, lastDataRank: -1}
 	ch.ranks = make([]rank, nRanks)
 	ch.bankArena = make([]bank, nRanks*cfg.Geom.Banks)
@@ -124,20 +115,6 @@ func (ch *Channel) Ranks() int { return len(ch.ranks) }
 // OpenRow returns the open row of a bank, or -1 if precharged.
 func (ch *Channel) OpenRow(rk, bk int) int64 {
 	return ch.ranks[rk].banks[bk].openRow
-}
-
-// Awake reports whether the rank can accept commands at t (powered up,
-// not refreshing).
-func (ch *Channel) Awake(t sim.Cycle, rk int) bool { return ch.ranks[rk].awake(t) }
-
-// dataBusEarliest computes the earliest data-start time permitted by the
-// data bus given rank and direction switches.
-func (ch *Channel) dataBusEarliest(rk int, write bool) sim.Cycle {
-	t := ch.dataFreeAt
-	if ch.lastDataRank >= 0 && (ch.lastDataRank != rk || ch.lastDataWrite != write) {
-		t += ch.Cfg.Timing.TRTRS
-	}
-	return t
 }
 
 // claimData reserves the data bus for one burst starting at start.
@@ -169,8 +146,8 @@ func (ch *Channel) refloorData() {
 }
 
 // casFloor looks up the earliest CAS command time the data bus permits
-// for an access of the given direction on rank rk. Equal by
-// construction to dataBusEarliest(rk, write) - CAS latency.
+// for an access of the given direction on rank rk: the end of the last
+// burst, plus tRTRS on a rank or direction switch, less CAS latency.
 func (ch *Channel) casFloor(rk int, kind AccessKind, write bool) sim.Cycle {
 	if rk == ch.lastDataRank && write == ch.lastDataWrite {
 		return ch.dataFloorSame[kind]

@@ -137,11 +137,6 @@ func (r *rank) refreshLegal() {
 	r.readLegalAt = maxc(r.readLegalAt, r.refreshUntil)
 }
 
-// awake reports whether commands may issue to this rank at time t.
-func (r *rank) awake(t sim.Cycle) bool {
-	return r.power == PSActive && t >= r.wakeAt && t >= r.refreshUntil
-}
-
 // awakeAt returns the earliest cycle commands may issue to this rank:
 // the later of power-down exit and refresh completion, or Never while
 // the rank is powered down (leaving needs an external Wake call, which
@@ -178,14 +173,6 @@ func (r *rank) finalize(t sim.Cycle) {
 		r.stateCycles[r.power] += t - r.stateSince
 		r.stateSince = t
 	}
-}
-
-// fawOK reports whether a fourth-activate window permits an ACT at t.
-func (r *rank) fawOK(t sim.Cycle, tFAW sim.Cycle) bool {
-	if tFAW == 0 {
-		return true
-	}
-	return t >= r.fawRing[r.fawIdx]+tFAW
 }
 
 // recordAct pushes an ACT time into the FAW ring.

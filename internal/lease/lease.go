@@ -99,9 +99,6 @@ func DefaultOwner() string {
 // Owner reports the manager's worker identity.
 func (m *Manager) Owner() string { return m.owner }
 
-// TTL reports the manager's lease time-to-live.
-func (m *Manager) TTL() time.Duration { return m.ttl }
-
 // path maps a key to its lease file. Keys are store hashes (hex), so
 // no escaping is needed; reject anything that could traverse.
 func (m *Manager) path(key string) (string, error) {

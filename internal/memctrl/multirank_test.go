@@ -162,10 +162,10 @@ func TestFCFSDisablesRowHitPriority(t *testing.T) {
 }
 
 // TestManyBankClaiming runs a channel with more flat (rank, bank)
-// indexes than the former fixed-size claim scratch could address
-// (16 ranks x 8 banks = 128 > 64): the bank-conflict claiming pass must
-// work at every index, and FR-FCFS must still serve the older of two
-// row-conflicting requests first in every bank.
+// indexes than a 64-entry per-bank table could address (16 ranks x 8
+// banks = 128 > 64): the row-management classes must reach every
+// index, and FR-FCFS must still serve the older of two row-conflicting
+// requests first in every bank.
 func TestManyBankClaiming(t *testing.T) {
 	eng := &sim.Engine{}
 	ch := dram.NewChannel(dram.DDR3Config(), 16, nil)
@@ -177,14 +177,14 @@ func TestManyBankClaiming(t *testing.T) {
 	g := ch.Cfg.Geom
 	nBanks := ch.Ranks() * g.Banks
 	if nBanks <= 64 {
-		t.Fatalf("geometry too small to regress the claim scratch: %d banks", nBanks)
+		t.Fatalf("geometry too small to exceed 64 banks: %d banks", nBanks)
 	}
 	addr := func(row, rank, bank uint64) uint64 {
 		return ((row*uint64(ch.Ranks())+rank)*uint64(g.Banks) + bank) * uint64(g.ColsPerRow)
 	}
 	// Two row-conflicting reads per bank, older rows enqueued first
-	// across all banks. No open row matches, so every issue goes
-	// through the claiming pass.
+	// across all banks. No open row matches, so every ACT and PRE
+	// comes from classClaim.
 	firstDone := make([]int64, nBanks)
 	order := 0
 	for pass := 0; pass < 2; pass++ {

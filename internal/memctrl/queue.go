@@ -1,15 +1,9 @@
 package memctrl
 
 // Intrusive request queues. Each direction (reads, writes) keeps its
-// requests on two doubly-linked lists at once, threaded through the
-// Request itself so queue maintenance never allocates:
-//
-//   - a global list in arrival order, which preserves the exact
-//     FR-FCFS/FCFS age ordering and drives the write-drain watermarks,
-//     and
-//   - one list per (rank, bank), which lets the scheduling passes visit
-//     only banks that have pending work and makes dequeue an O(1)
-//     unlink instead of the former O(n) ordered slice delete.
+// requests on one doubly-linked list per (rank, bank), in arrival
+// order, threaded through the Request itself so queue maintenance
+// never allocates and dequeue is an O(1) unlink.
 //
 // The `active` slice is the compact set of bank indexes with at least
 // one queued request; scans iterate it instead of the full bank array.
@@ -23,16 +17,14 @@ type bankList struct {
 	n          int
 	nDemand    int   // queued non-prefetch requests
 	activePos  int32 // index into reqQueue.active, -1 while empty
-	claimStamp uint64
 }
 
 // reqQueue is one direction's request queue (all reads or all writes).
 type reqQueue struct {
-	head, tail *Request
-	n          int
-	nPrefetch  int
-	banks      []bankList
-	active     []int32
+	n         int
+	nPrefetch int
+	banks     []bankList
+	active    []int32
 }
 
 func (q *reqQueue) init(nBanks int) {
@@ -43,16 +35,9 @@ func (q *reqQueue) init(nBanks int) {
 	q.active = make([]int32, 0, nBanks)
 }
 
-// push appends r (arriving now, newest) to both lists. bi is the flat
-// rank*banks+bank index of r's target bank.
+// push appends r (arriving now, newest) to its bank's list. bi is the
+// flat rank*banks+bank index of r's target bank.
 func (q *reqQueue) push(r *Request, bi int) {
-	r.next, r.prev = nil, q.tail
-	if q.tail != nil {
-		q.tail.next = r
-	} else {
-		q.head = r
-	}
-	q.tail = r
 	q.n++
 	if r.Prefetch {
 		q.nPrefetch++
@@ -74,18 +59,8 @@ func (q *reqQueue) push(r *Request, bi int) {
 	}
 }
 
-// unlink removes r from both lists in O(1) and clears its link fields.
+// unlink removes r from its bank's list in O(1) and clears its links.
 func (q *reqQueue) unlink(r *Request, bi int) {
-	if r.prev != nil {
-		r.prev.next = r.next
-	} else {
-		q.head = r.next
-	}
-	if r.next != nil {
-		r.next.prev = r.prev
-	} else {
-		q.tail = r.prev
-	}
 	q.n--
 	if r.Prefetch {
 		q.nPrefetch--
@@ -106,7 +81,7 @@ func (q *reqQueue) unlink(r *Request, bi int) {
 	if !r.Prefetch {
 		bq.nDemand--
 	}
-	r.next, r.prev, r.bankNext, r.bankPrev = nil, nil, nil, nil
+	r.bankNext, r.bankPrev = nil, nil
 
 	if bq.head == nil {
 		// Swap-remove this bank from the active set, repointing the

@@ -54,7 +54,7 @@ func BenchmarkStoreHit(b *testing.B) {
 }
 
 // BenchmarkStoreColdWrite measures Put throughput: encode, checksum,
-// temp write, rename, index append — the tax a cold run pays to make
+// temp write, fsync and rename — the tax a cold run pays to make
 // every later run free.
 func BenchmarkStoreColdWrite(b *testing.B) {
 	s, err := Open(b.TempDir())

@@ -14,9 +14,7 @@
 // version, and live under content-derived paths
 // (objects/<hh>/<hash>.run). Any decode failure — truncation, bit
 // rot, a stale schema — is a miss, never a wrong hit: the caller
-// re-runs and the fresh Put heals the entry. An append-only
-// index.jsonl keeps a human-readable record of what the cache holds;
-// it is advisory only and rebuilt truth lives in the object files.
+// re-runs and the fresh Put heals the entry.
 package store
 
 import (

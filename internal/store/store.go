@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -202,7 +200,6 @@ func (s *Store) Put(k RunKey, res core.Results) error {
 		return err
 	}
 	s.count(func(st *Stats) { st.Writes++ })
-	s.appendIndex(k, hash)
 	s.mu.Lock()
 	s.liveBytes += int64(len(b))
 	if s.maxBytes > 0 && s.liveBytes > s.maxBytes {
@@ -365,70 +362,4 @@ func (s *Store) count(f func(*Stats)) {
 	s.mu.Lock()
 	f(&s.stats)
 	s.mu.Unlock()
-}
-
-// IndexEntry is one line of the advisory index: enough human-readable
-// identity to answer "what is in this cache?" without decoding
-// objects. The object files are the truth; the index is best-effort.
-type IndexEntry struct {
-	Key    string `json:"key"`
-	Config string `json:"config"`
-	Bench  string `json:"bench"`
-	Pair   bool   `json:"pair"`
-	Reads  uint64 `json:"measure_reads"`
-}
-
-// appendIndex records the Put in index.jsonl. One O_APPEND write per
-// line keeps concurrent writers from interleaving bytes; duplicates
-// (two processes caching the same key) are tolerated and deduplicated
-// at read time. Index failures are deliberately swallowed — the cache
-// works without it.
-func (s *Store) appendIndex(k RunKey, hash string) {
-	e := IndexEntry{Key: hash, Config: k.Cfg.Name, Bench: k.Bench,
-		Pair: k.Pair, Reads: k.Scale.MeasureReads}
-	b, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
-	f, err := os.OpenFile(filepath.Join(s.dir, "index.jsonl"),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	f.Write(append(b, '\n'))
-}
-
-// Index reads the advisory index, skipping corrupt lines (a torn
-// write from a killed process) and deduplicating by key hash, newest
-// line winning. An absent index is an empty one.
-func (s *Store) Index() ([]IndexEntry, error) {
-	f, err := os.Open(filepath.Join(s.dir, "index.jsonl"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	seen := map[string]int{}
-	var out []IndexEntry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var e IndexEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.Key == "" {
-			continue
-		}
-		if i, ok := seen[e.Key]; ok {
-			out[i] = e
-			continue
-		}
-		seen[e.Key] = len(out)
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("store: %w", err)
-	}
-	return out, nil
 }

@@ -327,37 +327,4 @@ func TestConcurrentWriters(t *testing.T) {
 			t.Fatalf("key %d not durable after concurrent writes", i)
 		}
 	}
-	idx, err := s.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != keys {
-		t.Fatalf("index has %d entries, want %d distinct keys", len(idx), keys)
-	}
-}
-
-func TestIndexSkipsCorruptLines(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	if err := s.Put(testKey("mcf", 1), testResults("mcf")); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a torn write from a killed process plus garbage.
-	f, err := os.OpenFile(filepath.Join(dir, "index.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString("{\"key\":\"tr")
-	f.WriteString("\nnot json at all\n")
-	f.Close()
-	if err := s.Put(testKey("lbm", 1), testResults("lbm")); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := s.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != 2 {
-		t.Fatalf("index = %+v, want the 2 real entries", idx)
-	}
 }

@@ -14,7 +14,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 
 	"hetsim/internal/sim"
 	"hetsim/internal/stats"
@@ -127,16 +126,6 @@ func (r *Registry) Names() []string {
 	}
 	return ns
 }
-
-// SortedNames returns the metric names sorted, for listings.
-func (r *Registry) SortedNames() []string {
-	ns := r.Names()
-	sort.Strings(ns)
-	return ns
-}
-
-// Metrics returns the registered metrics in registration order.
-func (r *Registry) Metrics() []Metric { return r.metrics }
 
 // Snapshot is one atomic reading of every probe: two float64 per
 // metric (primary, secondary) plus the cycle it was taken at.
