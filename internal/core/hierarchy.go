@@ -492,17 +492,22 @@ func (h *Hierarchy) handleL2Eviction(ev cache.Eviction) {
 		return
 	}
 	h.Stat.Writebacks++
-	// Adaptive placement re-organizes the line on its way to DRAM
-	// (§4.2.5): the predicted critical word becomes the placed word.
-	// Lines without a valid prediction keep their current layout.
-	if h.split && h.cfg.Placement == PlaceAdaptive && ev.Meta&metaValid != 0 {
-		if w := ev.Meta & metaWord; w == 0 {
-			delete(h.placed, ev.LineAddr)
-		} else {
-			h.placed[ev.LineAddr] = w
-		}
-	}
+	h.relayout(ev)
 	h.queueWriteback(ev.LineAddr)
+}
+
+// relayout applies adaptive placement's re-organization of a line on its
+// way to DRAM (§4.2.5): the predicted critical word becomes the placed
+// word. Lines without a valid prediction keep their current layout.
+func (h *Hierarchy) relayout(ev cache.Eviction) {
+	if !h.split || h.cfg.Placement != PlaceAdaptive || ev.Meta&metaValid == 0 {
+		return
+	}
+	if w := ev.Meta & metaWord; w == 0 {
+		delete(h.placed, ev.LineAddr)
+	} else {
+		h.placed[ev.LineAddr] = w
+	}
 }
 
 // queueWriteback sends a write to the backend, buffering on queue-full.
@@ -615,16 +620,10 @@ func (h *Hierarchy) Prewarm(coreID int, addr uint64, store bool) {
 		h.l2.Lookup(la, store) // refresh LRU; dirty on store
 		return
 	}
-	ev, evicted := h.l2.Insert(la, store, metaValid|uint8(word))
-	if evicted && ev.Dirty && h.split && h.cfg.Placement == PlaceAdaptive &&
-		ev.Meta&metaValid != 0 {
-		// Checkpoint restore includes the DRAM layout the write-backs
-		// of the replayed history would have left behind (§4.2.5).
-		if w := ev.Meta & metaWord; w == 0 {
-			delete(h.placed, ev.LineAddr)
-		} else {
-			h.placed[ev.LineAddr] = w
-		}
+	// Checkpoint restore includes the DRAM layout the write-backs of the
+	// replayed history would have left behind (§4.2.5).
+	if ev, evicted := h.l2.Insert(la, store, metaValid|uint8(word)); evicted && ev.Dirty {
+		h.relayout(ev)
 	}
 }
 

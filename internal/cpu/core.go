@@ -215,9 +215,6 @@ func (c *Core) WakePending() bool {
 	return w
 }
 
-// HasWake reports a pending wake without clearing it (driver lookahead).
-func (c *Core) HasWake() bool { return c.wakePending }
-
 // slotOf maps the i-th oldest ROB position to its slot index. A compare
 // instead of a modulo: i is always < the ROB size, so one wrap suffices,
 // and integer division is too slow for a loop this hot.

@@ -285,18 +285,17 @@ func TestNewValidation(t *testing.T) {
 	New(0, Config{}, &sliceTrace{}, &fakePort{})
 }
 
-func TestHasWakeDoesNotClear(t *testing.T) {
+// TestWakePendingClears checks that WakePending reports a delivered wake
+// once and clears it: a second call returns false.
+func TestWakePendingClears(t *testing.T) {
 	port := &fakePort{status: AccessMiss}
 	c := New(0, DefaultConfig(), &sliceTrace{ops: []MemOp{{Addr: 64}}}, port)
 	c.Step(0)
 	port.wakes[0]()
-	if !c.HasWake() || !c.HasWake() {
-		t.Fatal("HasWake cleared the flag")
-	}
 	if !c.WakePending() {
 		t.Fatal("WakePending lost the flag")
 	}
-	if c.HasWake() {
+	if c.WakePending() {
 		t.Fatal("WakePending did not clear the flag")
 	}
 }

@@ -1,10 +1,6 @@
 package dram
 
-import (
-	"fmt"
-
-	"hetsim/internal/sim"
-)
+import "hetsim/internal/sim"
 
 // CmdBus is an address/command bus. Normally each channel owns one
 // privately, but the aggregated critical-word channel of §4.2.4 shares a
@@ -76,16 +72,6 @@ type Channel struct {
 	lastDataRank  int
 	lastDataWrite bool
 
-	// Precomputed data-bus CAS floors, the channel half of the timing
-	// table (see DESIGN.md "Timing tables"): the earliest CAS command
-	// time permitted by the data bus, already shifted left by the CAS
-	// latency of each direction. Index 0 = read, 1 = write; "same"
-	// applies when the previous burst had the same rank and direction,
-	// "switch" charges the tRTRS turnaround. Rebuilt by claimData, the
-	// only mutation site of the underlying bus state.
-	dataFloorSame   [2]sim.Cycle
-	dataFloorSwitch [2]sim.Cycle
-
 	Stat Stats
 }
 
@@ -105,7 +91,6 @@ func NewChannel(cfg Config, nRanks int, shared *CmdBus) *Channel {
 		banks := ch.bankArena[i*cfg.Geom.Banks : (i+1)*cfg.Geom.Banks : (i+1)*cfg.Geom.Banks]
 		ch.ranks[i].init(banks, &ch.Cfg.Timing)
 	}
-	ch.refloorData()
 	return ch
 }
 
@@ -127,32 +112,21 @@ func (ch *Channel) claimData(start sim.Cycle, rk int, write bool) {
 	if ch.dataFreeAt > r.busyUntil {
 		r.busyUntil = ch.dataFreeAt
 	}
-	ch.refloorData()
 }
 
-// refloorData rebuilds the precomputed CAS data-bus floors from the raw
-// bus state. Must run after every mutation of dataFreeAt / lastDataRank
-// / lastDataWrite (claimData is the only one).
-func (ch *Channel) refloorData() {
-	tm := &ch.Cfg.Timing
-	sw := ch.dataFreeAt
-	if ch.lastDataRank >= 0 {
-		sw += tm.TRTRS
-	}
-	ch.dataFloorSame[AccessRead] = ch.dataFreeAt - tm.TRL
-	ch.dataFloorSame[AccessWrite] = ch.dataFreeAt - tm.TWL
-	ch.dataFloorSwitch[AccessRead] = sw - tm.TRL
-	ch.dataFloorSwitch[AccessWrite] = sw - tm.TWL
-}
-
-// casFloor looks up the earliest CAS command time the data bus permits
+// casFloor returns the earliest CAS command time the data bus permits
 // for an access of the given direction on rank rk: the end of the last
 // burst, plus tRTRS on a rank or direction switch, less CAS latency.
-func (ch *Channel) casFloor(rk int, kind AccessKind, write bool) sim.Cycle {
-	if rk == ch.lastDataRank && write == ch.lastDataWrite {
-		return ch.dataFloorSame[kind]
+func (ch *Channel) casFloor(rk int, write bool) sim.Cycle {
+	tm := &ch.Cfg.Timing
+	free := ch.dataFreeAt
+	if ch.lastDataRank >= 0 && (rk != ch.lastDataRank || write != ch.lastDataWrite) {
+		free += tm.TRTRS
 	}
-	return ch.dataFloorSwitch[kind]
+	if write {
+		return free - tm.TWL
+	}
+	return free - tm.TRL
 }
 
 // TryActivate issues ACT(row) to a bank. On failure nothing changes and
@@ -163,7 +137,9 @@ func (ch *Channel) TryActivate(t sim.Cycle, rk, bk int, row int64) (next sim.Cyc
 	tm := &ch.Cfg.Timing
 	r := &ch.ranks[rk]
 	b := &r.banks[bk]
-	next = maxc(t, r.actLegalAt) // awake + tRRD + tFAW, precomputed
+	next = maxc(t, r.awakeAt())
+	next = maxc(next, r.nextActAt)
+	next = maxc(next, r.fawReadyAt(tm.TFAW))
 	next = maxc(next, ch.Cmd.freeAt)
 	next = maxc(next, b.canActAt)
 	if b.openRow != -1 {
@@ -176,7 +152,6 @@ func (ch *Channel) TryActivate(t sim.Cycle, rk, bk int, row int64) (next sim.Cyc
 	b.activate(t, tm, row)
 	r.recordAct(t)
 	r.nextActAt = t + tm.TRRD
-	r.actLegalAt = maxc(r.actLegalAt, maxc(r.nextActAt, r.fawReadyAt(tm.TFAW)))
 	ch.Stat.Acts++
 	return 0, true
 }
@@ -186,7 +161,7 @@ func (ch *Channel) TryActivate(t sim.Cycle, rk, bk int, row int64) (next sim.Cyc
 func (ch *Channel) TryPrecharge(t sim.Cycle, rk, bk int) (next sim.Cycle, ok bool) {
 	r := &ch.ranks[rk]
 	b := &r.banks[bk]
-	next = maxc(t, r.cmdLegalAt) // awake floor, precomputed
+	next = maxc(t, r.awakeAt())
 	next = maxc(next, ch.Cmd.freeAt)
 	next = maxc(next, b.canPreAt)
 	if b.openRow == -1 {
@@ -210,18 +185,16 @@ func (ch *Channel) TryCAS(t sim.Cycle, rk, bk int, row int64, kind AccessKind, a
 	r := &ch.ranks[rk]
 	b := &r.banks[bk]
 	write := kind == AccessWrite
-	var next sim.Cycle
-	if write {
-		next = maxc(t, r.casLegalAt) // awake + tCCD, precomputed
-	} else {
-		next = maxc(t, r.readLegalAt) // awake + tCCD + tWTR, precomputed
+	next := maxc(t, r.awakeAt())
+	next = maxc(next, r.nextCASAt)
+	if !write {
+		next = maxc(next, r.lastWriteDataEnd+tm.TWTR)
 		next = maxc(next, b.canReadAt)
 	}
 	next = maxc(next, ch.Cmd.freeAt)
 	// The data bus frees independently of the command time: a CAS at t'
-	// puts data on the bus at t'+lat, so t' ≥ earliest-lat (the floors
-	// are precomputed with the latency already subtracted).
-	next = maxc(next, ch.casFloor(rk, kind, write))
+	// puts data on the bus at t'+lat, so t' ≥ earliest-lat.
+	next = maxc(next, ch.casFloor(rk, write))
 	if b.openRow != row {
 		next = Never
 	}
@@ -235,13 +208,10 @@ func (ch *Channel) TryCAS(t sim.Cycle, rk, bk int, row int64, kind AccessKind, a
 	dataStart = t + lat
 	ch.Cmd.reserve(t, tm.BusCycle)
 	r.nextCASAt = t + tm.TCCD
-	r.casLegalAt = maxc(r.casLegalAt, r.nextCASAt)
-	r.readLegalAt = maxc(r.readLegalAt, r.nextCASAt)
 	ch.claimData(dataStart, rk, write)
 	dataEnd := dataStart + tm.Burst
 	if write {
 		r.lastWriteDataEnd = dataEnd
-		r.readLegalAt = maxc(r.readLegalAt, dataEnd+tm.TWTR)
 		if dataEnd+tm.TWR > b.canPreAt {
 			b.canPreAt = dataEnd + tm.TWR
 		}
@@ -278,10 +248,11 @@ func (ch *Channel) TryAccess(t sim.Cycle, rk, bk int, kind AccessKind) (dataStar
 	r := &ch.ranks[rk]
 	b := &r.banks[bk]
 	write := kind == AccessWrite
-	next := maxc(t, r.casLegalAt) // awake + tCCD, precomputed
+	next := maxc(t, r.awakeAt())
+	next = maxc(next, r.nextCASAt)
 	next = maxc(next, b.canActAt)
 	next = maxc(next, ch.Cmd.freeAt)
-	next = maxc(next, ch.casFloor(rk, kind, write))
+	next = maxc(next, ch.casFloor(rk, write))
 	if next > t {
 		return next, false
 	}
@@ -293,8 +264,6 @@ func (ch *Channel) TryAccess(t sim.Cycle, rk, bk int, kind AccessKind) (dataStar
 	ch.Cmd.reserve(t, tm.BusCycle)
 	b.canActAt = t + tm.TRC
 	r.nextCASAt = t + tm.TCCD
-	r.casLegalAt = maxc(r.casLegalAt, r.nextCASAt)
-	r.readLegalAt = maxc(r.readLegalAt, r.nextCASAt)
 	ch.claimData(dataStart, rk, write)
 	if write {
 		ch.Stat.Writes++
@@ -335,7 +304,7 @@ func (ch *Channel) TryRefresh(t sim.Cycle, rk int) (next sim.Cycle, ok bool) {
 	if tm.TREFI == 0 {
 		return Never, false
 	}
-	next = maxc(t, r.cmdLegalAt) // awake floor, precomputed
+	next = maxc(t, r.awakeAt())
 	next = maxc(next, ch.Cmd.freeAt)
 	idle := true
 	for i := range r.banks {
@@ -350,7 +319,6 @@ func (ch *Channel) TryRefresh(t sim.Cycle, rk int) (next sim.Cycle, ok bool) {
 	}
 	ch.Cmd.reserve(t, tm.BusCycle)
 	r.refreshUntil = t + tm.TRFC
-	r.refreshLegal()
 	r.refreshDueAt += tm.TREFI
 	if r.refreshDueAt <= t { // badly overdue: re-anchor to avoid a refresh storm
 		r.refreshDueAt = t + tm.TREFI
@@ -380,7 +348,6 @@ func (ch *Channel) Sleep(t sim.Cycle, rk int, deep bool) bool {
 		st = PSDeepPowerDown
 	}
 	r.transition(t, st)
-	r.blockLegal()
 	ch.Stat.SleepEntry++
 	return true
 }
@@ -401,7 +368,6 @@ func (ch *Channel) Wake(t sim.Cycle, rk int) sim.Cycle {
 	}
 	r.transition(t, PSActive)
 	r.wakeAt = t + exit
-	r.recomputeLegal(&ch.Cfg.Timing)
 	ch.Stat.WakeUps++
 	return r.wakeAt
 }
@@ -416,20 +382,4 @@ func (ch *Channel) Finalize(t sim.Cycle) {
 // StateCycles reports cycles rank rk spent in state s (after Finalize).
 func (ch *Channel) StateCycles(rk int, s PowerState) sim.Cycle {
 	return ch.ranks[rk].stateCycles[s]
-}
-
-// Utilization reports the fraction of elapsed cycles the data bus was
-// transferring, the paper's "bus utilization".
-func (ch *Channel) Utilization(elapsed sim.Cycle) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(ch.Stat.DataBusy) / float64(elapsed)
-}
-
-// DebugString summarises channel state for error messages and tests.
-func (ch *Channel) DebugString(t sim.Cycle) string {
-	return fmt.Sprintf("%s ranks=%d acts=%d rd=%d wr=%d ref=%d dataBusy=%d now=%d",
-		ch.Cfg.Kind, len(ch.ranks), ch.Stat.Acts, ch.Stat.Reads, ch.Stat.Writes,
-		ch.Stat.Refreshes, ch.Stat.DataBusy, t)
 }

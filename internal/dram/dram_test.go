@@ -395,17 +395,17 @@ func TestSleepRefusedWithOpenRowOrTraffic(t *testing.T) {
 	}
 }
 
+// TestUtilization pins the bus-occupancy accounting Results.BusUtil is
+// computed from: one CAS adds exactly one burst to Stat.DataBusy.
 func TestUtilization(t *testing.T) {
 	ch := newDDR3(t)
 	tm := ch.Cfg.Timing
 	actOK(ch, 0, 0, 0, 1)
-	ch.TryCAS(tm.TRCD, 0, 0, 1, AccessRead, false)
-	u := ch.Utilization(10 * tm.Burst)
-	if u != 0.1 {
-		t.Fatalf("utilization = %v, want 0.1", u)
+	if _, ok := ch.TryCAS(tm.TRCD, 0, 0, 1, AccessRead, false); !ok {
+		t.Fatal("read at tRCD failed")
 	}
-	if ch.Utilization(0) != 0 {
-		t.Fatal("utilization at 0 elapsed must be 0")
+	if ch.Stat.DataBusy != tm.Burst {
+		t.Fatalf("DataBusy = %d after one CAS, want burst %d", ch.Stat.DataBusy, tm.Burst)
 	}
 }
 
@@ -496,13 +496,6 @@ func TestNewChannelValidation(t *testing.T) {
 		}
 	}()
 	NewChannel(DDR3Config(), 0, nil)
-}
-
-func TestDebugString(t *testing.T) {
-	s := newDDR3(t).DebugString(5)
-	if !strings.Contains(s, "DDR3") || !strings.Contains(s, "now=5") {
-		t.Errorf("DebugString = %q", s)
-	}
 }
 
 func TestHMCPresets(t *testing.T) {
@@ -761,6 +754,93 @@ func TestHintExactness(t *testing.T) {
 		}
 		exact(t, "cas-twtr", next, func(at sim.Cycle) bool {
 			_, ok := ch.TryCAS(at, 0, 0, 5, AccessRead, false)
+			return ok
+		})
+	})
+
+	t.Run("cas-tccd", func(t *testing.T) {
+		// Every preset has tCCD equal to the burst, so the data bus
+		// alone would give the same hint; a longer tCCD isolates it.
+		cfg := DDR3Config()
+		cfg.Timing.TCCD = 2 * cfg.Timing.Burst
+		ch := NewChannel(cfg, 1, nil)
+		tm := ch.Cfg.Timing
+		mustAct(t, ch, 0, 0, 0, 5)
+		if _, ok := ch.TryCAS(tm.TRCD, 0, 0, 5, AccessRead, false); !ok {
+			t.Fatal("read at tRCD failed")
+		}
+		next, ok := ch.TryCAS(tm.TRCD+1, 0, 0, 5, AccessRead, false)
+		if ok {
+			t.Fatal("second read legal inside tCCD")
+		}
+		if want := tm.TRCD + tm.TCCD; next != want {
+			t.Fatalf("hint %d, want tRCD+tCCD %d", next, want)
+		}
+		exact(t, "cas-tccd", next, func(at sim.Cycle) bool {
+			_, ok := ch.TryCAS(at, 0, 0, 5, AccessRead, false)
+			return ok
+		})
+	})
+
+	t.Run("cas-trtrs", func(t *testing.T) {
+		ch := NewChannel(DDR3Config(), 2, nil)
+		tm := ch.Cfg.Timing
+		mustAct(t, ch, 0, 0, 0, 5)
+		mustAct(t, ch, tm.BusCycle, 1, 0, 5)
+		t0 := tm.BusCycle + tm.TRCD
+		ds, ok := ch.TryCAS(t0, 0, 0, 5, AccessRead, false)
+		if !ok {
+			t.Fatal("rank 0 read failed")
+		}
+		next, ok := ch.TryCAS(t0+1, 1, 0, 5, AccessRead, false)
+		if ok {
+			t.Fatal("rank 1 read legal right after a rank 0 read")
+		}
+		// The rank switch, not tCCD (per rank), is what binds here.
+		if want := ds + tm.Burst + tm.TRTRS - tm.TRL; next != want {
+			t.Fatalf("hint %d, want burst end + tRTRS - tRL = %d", next, want)
+		}
+		exact(t, "cas-trtrs", next, func(at sim.Cycle) bool {
+			_, ok := ch.TryCAS(at, 1, 0, 5, AccessRead, false)
+			return ok
+		})
+	})
+
+	t.Run("access-trc", func(t *testing.T) {
+		ch := NewChannel(RLDRAM3WordConfig(), 1, nil)
+		tm := ch.Cfg.Timing
+		if _, ok := ch.TryAccess(0, 0, 0, AccessRead); !ok {
+			t.Fatal("first access failed")
+		}
+		next, ok := ch.TryAccess(1, 0, 0, AccessRead)
+		if ok {
+			t.Fatal("same-bank access legal inside tRC")
+		}
+		if next != tm.TRC {
+			t.Fatalf("hint %d, want tRC %d", next, tm.TRC)
+		}
+		exact(t, "access-trc", next, func(at sim.Cycle) bool {
+			_, ok := ch.TryAccess(at, 0, 0, AccessRead)
+			return ok
+		})
+	})
+
+	t.Run("activate-trfc", func(t *testing.T) {
+		ch := newDDR3(t)
+		tm := ch.Cfg.Timing
+		due := ch.NextRefreshDue(0)
+		if !refOK(ch, due, 0) {
+			t.Fatal("refresh failed at its due cycle on an idle rank")
+		}
+		next, ok := ch.TryActivate(due+1, 0, 0, 5)
+		if ok {
+			t.Fatal("ACT legal during refresh")
+		}
+		if want := due + tm.TRFC; next != want {
+			t.Fatalf("hint %d, want refresh end %d", next, want)
+		}
+		exact(t, "activate-trfc", next, func(at sim.Cycle) bool {
+			_, ok := ch.TryActivate(at, 0, 0, 5)
 			return ok
 		})
 	})

@@ -70,20 +70,6 @@ type rank struct {
 	lastWriteDataEnd sim.Cycle // for tWTR
 	busyUntil        sim.Cycle // latest in-flight data end, gates sleep
 
-	// Precomputed next-legal-cycle table (see DESIGN.md "Timing
-	// tables"). Each entry folds every rank-level constraint on one
-	// command class into a single cycle number, so the Try* probes do a
-	// comparison instead of re-walking the constraint chain. The raw
-	// fields above stay the source of truth; the table is a cache kept
-	// exact at every mutation site (command issue, refresh, power
-	// transitions). While a component only ratchets upward the issue
-	// paths fold incrementally with maxc; power-down exit lowers
-	// cmdLegalAt, so Wake recomputes the whole table from scratch.
-	cmdLegalAt  sim.Cycle // awake floor: PRE (and any command)
-	actLegalAt  sim.Cycle // awake + tRRD + tFAW
-	casLegalAt  sim.Cycle // awake + tCCD: write CAS, unified access
-	readLegalAt sim.Cycle // casLegalAt + tWTR after a write: read CAS
-
 	power      PowerState
 	stateSince sim.Cycle
 	wakeAt     sim.Cycle // when exiting power-down completes
@@ -105,36 +91,6 @@ func (r *rank) init(banks []bank, tm *Timing) {
 		r.fawRing[i] = -1 << 60 // no activates in the window yet
 	}
 	r.refreshDueAt = tm.TREFI // 0 tREFI means refresh never due (checked by caller)
-	r.recomputeLegal(tm)
-}
-
-// recomputeLegal rebuilds the next-legal table from the raw constraint
-// fields. Needed whenever a component may move backward (power-down
-// exit); every other site folds forward incrementally.
-func (r *rank) recomputeLegal(tm *Timing) {
-	aw := r.awakeAt()
-	r.cmdLegalAt = aw
-	r.casLegalAt = maxc(aw, r.nextCASAt)
-	r.readLegalAt = maxc(r.casLegalAt, r.lastWriteDataEnd+tm.TWTR)
-	r.actLegalAt = maxc(maxc(aw, r.nextActAt), r.fawReadyAt(tm.TFAW))
-}
-
-// blockLegal poisons the next-legal table while the rank is powered
-// down: no command is legal until an external Wake recomputes it.
-func (r *rank) blockLegal() {
-	r.cmdLegalAt = Never
-	r.actLegalAt = Never
-	r.casLegalAt = Never
-	r.readLegalAt = Never
-}
-
-// refreshLegal folds a newly started refresh (raw field refreshUntil)
-// into the next-legal table.
-func (r *rank) refreshLegal() {
-	r.cmdLegalAt = maxc(r.cmdLegalAt, r.refreshUntil)
-	r.actLegalAt = maxc(r.actLegalAt, r.refreshUntil)
-	r.casLegalAt = maxc(r.casLegalAt, r.refreshUntil)
-	r.readLegalAt = maxc(r.readLegalAt, r.refreshUntil)
 }
 
 // awakeAt returns the earliest cycle commands may issue to this rank:

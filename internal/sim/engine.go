@@ -80,14 +80,6 @@ type Engine struct {
 	fired      uint64
 	lastPhase  uint64
 	dispatches int // >0 while inside an event handler
-
-	// Timing wheel fronting the heap for near-future events (wheel.go).
-	wslots [wheelSpan]wheelSlot
-	wocc   [wheelSpan / 64]uint64
-	wbase  Cycle     // wheel window start; all wheel events in [wbase, wbase+wheelSpan)
-	wcount int       // events currently in the wheel
-	wminIx int       // cached bucket of the wheel minimum; -1 = rescan needed
-	wfree  [][]event // retained bucket arrays, shared across slots (zero steady-state alloc)
 }
 
 // Now reports the current simulated time.
@@ -176,7 +168,7 @@ func (e *Engine) ScheduleEventAt(when Cycle, h EventHandler, arg any) {
 		panic("sim: event scheduled in the past")
 	}
 	e.seq++
-	e.qPush(event{when: when, seq: e.seq, h: h, arg: arg})
+	heapPush(&e.pq, event{when: when, seq: e.seq, h: h, arg: arg})
 }
 
 // NewPhase allocates a fresh nonzero phase value, strictly greater than
@@ -203,7 +195,7 @@ func (e *Engine) SchedulePhasedAt(when Cycle, phase uint64, h PhasedHandler, arg
 		panic("sim: phased event needs a nonzero phase (use NewPhase)")
 	}
 	e.seq++
-	e.qPush(event{when: when, seq: e.seq, phase: phase, h: h, arg: arg})
+	heapPush(&e.pq, event{when: when, seq: e.seq, phase: phase, h: h, arg: arg})
 }
 
 // InDispatch reports whether the caller is executing inside an event
@@ -218,10 +210,10 @@ func (e *Engine) InDispatch() bool { return e.dispatches > 0 }
 // PeekNext returns the time of the next event; ok is false if none
 // remain.
 func (e *Engine) PeekNext() (when Cycle, ok bool) {
-	if top := e.qPeek(); top != nil {
-		return top.when, true
+	if len(e.pq) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return e.pq[0].when, true
 }
 
 // sameCycleEventLimit is the no-progress watchdog threshold: this many
@@ -239,11 +231,10 @@ func (e *Engine) RunUntil(end Cycle) uint64 {
 	var n uint64
 	var burst int
 	for {
-		top := e.qPeek()
-		if top == nil || top.when > end {
+		if len(e.pq) == 0 || e.pq[0].when > end {
 			break
 		}
-		ev := e.qPop()
+		ev := heapPop(&e.pq)
 		if ev.when > e.now {
 			e.now = ev.when
 			burst = 0
@@ -254,7 +245,7 @@ func (e *Engine) RunUntil(end Cycle) uint64 {
 		if burst++; burst > sameCycleEventLimit {
 			panic(fmt.Sprintf(
 				"sim: watchdog: %d events executed at cycle %d without time advancing (queue=%d) — a handler is rescheduling itself at zero delay",
-				burst, e.now, e.wcount+len(e.pq)))
+				burst, e.now, len(e.pq)))
 		}
 	}
 	if e.now < end {

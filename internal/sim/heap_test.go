@@ -3,18 +3,32 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
 
-// refModel is a trivially correct priority queue: a sorted slice keyed by
-// (when, seq). The heap must pop exactly this order.
+// refModel is a trivially correct priority queue: a slice kept sorted by
+// the (when, phase, seq) key, compared field by field here rather than
+// through event.before so the model does not share the heap's ordering
+// code. The heap must pop exactly this order.
 type refModel struct {
 	events []event
 }
 
+func refLess(a, b *event) bool {
+	ka := [3]uint64{uint64(a.when), a.phase, a.seq}
+	kb := [3]uint64{uint64(b.when), b.phase, b.seq}
+	for i := range ka {
+		if ka[i] != kb[i] {
+			return ka[i] < kb[i]
+		}
+	}
+	return false
+}
+
 func (m *refModel) push(ev event) {
-	i := sort.Search(len(m.events), func(i int) bool { return ev.before(&m.events[i]) })
+	i := sort.Search(len(m.events), func(i int) bool { return refLess(&ev, &m.events[i]) })
 	m.events = append(m.events, event{})
 	copy(m.events[i+1:], m.events[i:])
 	m.events[i] = ev
@@ -28,36 +42,40 @@ func (m *refModel) pop() event {
 
 // TestHeapMatchesReferenceModel drives random schedule/fire interleavings
 // through the engine's heap and a sorted-slice model and requires
-// identical pop order, including the FIFO tie-break at equal times.
+// identical pop order under the full (when, phase, seq) key: random
+// phases in 0–2 mix normal and phased events on one cycle, a small time
+// range makes same-cycle ties common, and occasional far-future events
+// sit deep in the heap while the near ones churn above them.
 func TestHeapMatchesReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		var e Engine
 		var m refModel
 		var seq uint64
-		// Random interleaving of pushes and pops; small time range so
-		// same-cycle ties are common.
+		check := func(at string) {
+			t.Helper()
+			got, want := heapPop(&e.pq), m.pop()
+			if got.when != want.when || got.phase != want.phase || got.seq != want.seq {
+				t.Fatalf("trial %d %s: pop = (%d,%d,%d), model = (%d,%d,%d)", trial, at,
+					got.when, got.phase, got.seq, want.when, want.phase, want.seq)
+			}
+		}
 		for step := 0; step < 400; step++ {
 			if len(e.pq) == 0 || rng.Intn(3) != 0 {
 				seq++
-				ev := event{when: Cycle(rng.Intn(16)), seq: seq}
+				when := Cycle(rng.Intn(16))
+				if rng.Intn(16) == 0 {
+					when += 1<<20 + Cycle(rng.Intn(1<<20))
+				}
+				ev := event{when: when, phase: uint64(rng.Intn(3)), seq: seq}
 				heapPush(&e.pq, ev)
 				m.push(ev)
 			} else {
-				got, want := heapPop(&e.pq), m.pop()
-				if got.when != want.when || got.seq != want.seq {
-					t.Fatalf("trial %d step %d: pop = (%d,%d), model = (%d,%d)",
-						trial, step, got.when, got.seq, want.when, want.seq)
-				}
+				check("step " + strconv.Itoa(step))
 			}
 		}
-		// Drain.
 		for len(m.events) > 0 {
-			got, want := heapPop(&e.pq), m.pop()
-			if got.when != want.when || got.seq != want.seq {
-				t.Fatalf("trial %d drain: pop = (%d,%d), model = (%d,%d)",
-					trial, got.when, got.seq, want.when, want.seq)
-			}
+			check("drain")
 		}
 		if len(e.pq) != 0 {
 			t.Fatalf("trial %d: heap kept %d events past the model", trial, len(e.pq))
