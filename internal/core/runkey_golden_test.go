@@ -13,8 +13,8 @@ import (
 // preset's spelling that would move its cache entries fails here.
 //
 // hmc-mix is an alias of hmc: it builds HMCHetero and shares its
-// address. Its golden lines record the address of the retired HMC-mix
-// config and are not checked.
+// address, so it is checked against hmc's lines and has none of its
+// own.
 func TestRunKeyHashGolden(t *testing.T) {
 	aliasOf := map[string]string{"hmc-mix": "hmc"}
 	got := map[string]string{}

@@ -42,6 +42,21 @@ type System struct {
 // coreRegionBytes is the address-space slice per multiprogrammed copy.
 const coreRegionBytes = 1 << 30 // 1GB each, 8GB total (Table 1)
 
+// Generators builds the trace generator of each of nCores cores
+// running spec under the run seed: multiprogrammed copies get disjoint
+// coreRegionBytes slices, multithreaded ones share one address space.
+func Generators(spec workload.Spec, nCores int, seed uint64) []*workload.Generator {
+	gens := make([]*workload.Generator, nCores)
+	for i := range gens {
+		base := uint64(0)
+		if !spec.Multithreaded {
+			base = uint64(i) * coreRegionBytes
+		}
+		gens[i] = workload.NewGenerator(spec, i, nCores, base, seed+1)
+	}
+	return gens
+}
+
 // NewSystem wires a machine for the given benchmark.
 func NewSystem(cfg SystemConfig, spec workload.Spec) (*System, error) {
 	if err := cfg.Validate(); err != nil {
@@ -65,13 +80,8 @@ func NewSystem(cfg SystemConfig, spec workload.Spec) (*System, error) {
 	if cfg.ROBSize > 0 {
 		coreCfg.ROBSize = cfg.ROBSize
 	}
-	for i := 0; i < cfg.NCores; i++ {
-		base := uint64(0)
-		if !spec.Multithreaded {
-			base = uint64(i) * coreRegionBytes
-		}
-		gen := workload.NewGenerator(spec, i, cfg.NCores, base, cfg.Seed+1)
-		s.gens = append(s.gens, gen)
+	s.gens = Generators(spec, cfg.NCores, cfg.Seed)
+	for i, gen := range s.gens {
 		core := cpu.New(i, coreCfg, gen, s.Hier)
 		core.WakeHook = func() { s.wakeSig++ }
 		s.Cores = append(s.Cores, core)

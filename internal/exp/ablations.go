@@ -9,93 +9,29 @@ import (
 	"hetsim/internal/workload"
 )
 
-// NoPrefetcherResult is the §6.1.1 prefetcher ablation.
-type NoPrefetcherResult struct {
-	// MeanWith and MeanWithout are the RL gains over the *matching*
-	// baseline (paper: 12.9% with the prefetcher, 17.3% without — CWF
-	// has more latency to hide when prefetching is off).
-	MeanWith    float64
-	MeanWithout float64
-	Table       string
-}
-
 // NoPrefetcher compares the RL gain with and without the stride
-// prefetcher (each against a baseline with the same prefetch setting).
-func NoPrefetcher(r *Runner) (NoPrefetcherResult, error) {
-	var out NoPrefetcherResult
-	tb := &stats.Table{Title: "§6.1.1: RL gain with/without prefetcher (normalized throughput)",
-		Headers: []string{"benchmark", "with-pf", "no-pf"}}
-	basePF := core.Baseline(0)
-	rlPF := core.RL(0)
+// prefetcher, each against a baseline with the same prefetch setting
+// (paper: 12.9% with the prefetcher, 17.3% without — CWF has more
+// latency to hide when prefetching is off).
+func NoPrefetcher(r *Runner) (Study, error) {
 	baseNo := core.Baseline(0)
 	baseNo.Prefetch = false
 	baseNo.Name = "DDR3-nopf"
 	rlNo := core.RL(0)
 	rlNo.Prefetch = false
 	rlNo.Name = "RL-nopf"
-	r.Submit(basePF, rlPF, baseNo, rlNo)
-	var with, without []float64
-	for _, b := range r.Opts.Benchmarks {
-		bp, err := r.Run(basePF, b)
-		if err != nil {
-			return out, err
-		}
-		rp, err := r.Run(rlPF, b)
-		if err != nil {
-			return out, err
-		}
-		bn, err := r.Run(baseNo, b)
-		if err != nil {
-			return out, err
-		}
-		rn, err := r.Run(rlNo, b)
-		if err != nil {
-			return out, err
-		}
-		w, wo := 0.0, 0.0
-		if bp.Throughput > 0 {
-			w = rp.Throughput / bp.Throughput
-		}
-		if bn.Throughput > 0 {
-			wo = rn.Throughput / bn.Throughput
-		}
-		with = append(with, w)
-		without = append(without, wo)
-		tb.AddRowf(b, "%.3f", w, wo)
-	}
-	out.MeanWith = stats.GeoMean(with)
-	out.MeanWithout = stats.GeoMean(without)
-	tb.AddRowf("geomean", "%.3f", out.MeanWith, out.MeanWithout)
-	out.Table = tb.String()
-	return out, nil
-}
-
-// ReuseGapResult is the §6.1.1 latency-tolerance census.
-type ReuseGapResult struct {
-	// PerBench is the fraction of line reuse gaps at least the LPDDR2
-	// fill latency (paper: >82% for the benefiting applications; small
-	// for tonto/dealII which reuse early).
-	PerBench map[string]float64
-	Table    string
+	return study(r, ratios("§6.1.1: RL gain with/without prefetcher (normalized throughput)"),
+		col("with-pf", core.RL(0)), column{"no-pf", rlNo, baseNo, throughput})
 }
 
 // ReuseGap measures how often the second access to a line arrives late
-// enough to tolerate the slow line channel.
-func ReuseGap(r *Runner) (ReuseGapResult, error) {
-	r.Submit(core.RL(0))
-	out := ReuseGapResult{PerBench: map[string]float64{}}
-	tb := &stats.Table{Title: "§6.1.1: fraction of line reuse gaps ≥ LPDDR2 fill latency",
-		Headers: []string{"benchmark", "tolerant%"}}
-	for _, b := range r.Opts.Benchmarks {
-		res, err := r.Run(core.RL(0), b)
-		if err != nil {
-			return out, err
-		}
-		out.PerBench[b] = res.ReuseGapFracOK
-		tb.AddRowf(b, "%.1f", res.ReuseGapFracOK*100)
-	}
-	out.Table = tb.String()
-	return out, nil
+// enough to tolerate the slow line channel: the fraction of RL line
+// reuse gaps at least the LPDDR2 fill latency (paper: >82% for the
+// benefiting applications; small for tonto/dealII which reuse early).
+func ReuseGap(r *Runner) (Study, error) {
+	return study(r, layout{title: "§6.1.1: fraction of line reuse gaps ≥ LPDDR2 fill latency",
+		format: "%.1f", percent: true},
+		column{"tolerant%", core.RL(0), core.RL(0), func(res, _ core.Results) float64 { return res.ReuseGapFracOK }})
 }
 
 // HotPageFraction is the §7.1 profile cut: the RLDRAM3 channel holds
@@ -107,12 +43,7 @@ const HotPageFraction = 0.076
 // profiling step. ops bounds the profile length per core.
 func ProfileHotPages(spec workload.Spec, nCores int, seed uint64, ops int) map[uint64]bool {
 	counts := map[uint64]uint64{}
-	for c := 0; c < nCores; c++ {
-		base := uint64(0)
-		if !spec.Multithreaded {
-			base = uint64(c) << 30
-		}
-		g := workload.NewGenerator(spec, c, nCores, base, seed+1)
+	for _, g := range core.Generators(spec, nCores, seed) {
 		for i := 0; i < ops; i++ {
 			page := cache.LineAddr(g.Next().Addr) / 64
 			counts[page]++
@@ -150,15 +81,13 @@ type PagePlacementResult struct {
 	PerBench map[string]float64 // normalized throughput (baseline-ref)
 	Mean     float64
 	MeanSelf float64 // §5 per-config normalization
-	Best     float64
-	WorstVal float64
 	Table    string
 }
 
 // PagePlacement evaluates the profiled hot-page system (paper: results
 // vary from −9.3% to +11.2%, mean ≈ +8%, below the CWF approach).
 func PagePlacement(r *Runner) (PagePlacementResult, error) {
-	out := PagePlacementResult{PerBench: map[string]float64{}, WorstVal: 10}
+	out := PagePlacementResult{PerBench: map[string]float64{}}
 	tb := &stats.Table{Title: "§7.1: page placement comparison (normalized throughput)",
 		Headers: []string{"benchmark", "page-placed", "self-norm"}}
 	// Each benchmark gets its own profiled configuration, so the sweep
@@ -191,12 +120,6 @@ func PagePlacement(r *Runner) (PagePlacementResult, error) {
 		out.PerBench[b] = n
 		vals = append(vals, n)
 		selfVals = append(selfVals, selfN)
-		if n > out.Best {
-			out.Best = n
-		}
-		if n < out.WorstVal {
-			out.WorstVal = n
-		}
 		tb.AddRowf(b, "%.3f", n, selfN)
 	}
 	out.Mean = stats.GeoMean(vals)

@@ -126,17 +126,16 @@ func TestFig6And7And8Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f7.ReductionRD <= 0 || f7.ReductionRL <= 0 {
-		t.Errorf("critical word latency reductions RD=%v RL=%v, want positive",
-			f7.ReductionRD, f7.ReductionRL)
+	if redRD, redRL := critReduction(f7, r.Opts.Benchmarks, 1), critReduction(f7, r.Opts.Benchmarks, 2); redRD <= 0 || redRL <= 0 {
+		t.Errorf("critical word latency reductions RD=%v RL=%v, want positive", redRD, redRL)
 	}
 	f8, err := Fig8(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(f8.PerBench["libquantum"] > f8.PerBench["mcf"]) {
+	if !(f8.PerBench["libquantum"][0] > f8.PerBench["mcf"][0]) {
 		t.Errorf("fig8: libquantum %v not above mcf %v",
-			f8.PerBench["libquantum"], f8.PerBench["mcf"])
+			f8.PerBench["libquantum"][0], f8.PerBench["mcf"][0])
 	}
 }
 
@@ -162,12 +161,13 @@ func TestFig10And11Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f10.MeanRL <= 0 || f10.MeanDL <= 0 {
+	rd, rl, dl := f10.Means[0], f10.Means[1], f10.Means[2]
+	if rl <= 0 || dl <= 0 {
 		t.Fatal("zero energy ratios")
 	}
 	// DL (no RLDRAM3 background power) must consume less than RD.
-	if f10.MeanDL >= f10.MeanRD {
-		t.Errorf("DL energy %v not below RD %v", f10.MeanDL, f10.MeanRD)
+	if dl >= rd {
+		t.Errorf("DL energy %v not below RD %v", dl, rd)
 	}
 	f11, err := Fig11(r)
 	if err != nil {
@@ -200,9 +200,9 @@ func TestReuseGapShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// tonto reuses lines almost immediately; libquantum does not.
-	if !(res.PerBench["tonto"] < res.PerBench["libquantum"]) {
+	if !(res.PerBench["tonto"][0] < res.PerBench["libquantum"][0]) {
 		t.Errorf("tonto tolerance %v not below libquantum %v",
-			res.PerBench["tonto"], res.PerBench["libquantum"])
+			res.PerBench["tonto"][0], res.PerBench["libquantum"][0])
 	}
 }
 
@@ -242,8 +242,8 @@ func TestMalladiShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(res.MeanEnergy < f10.MeanRL) {
-		t.Errorf("Malladi energy %v not below server-adapted RL %v", res.MeanEnergy, f10.MeanRL)
+	if !(res.Means[0] < f10.Means[1]) {
+		t.Errorf("Malladi energy %v not below server-adapted RL %v", res.Means[0], f10.Means[1])
 	}
 }
 
@@ -253,8 +253,26 @@ func TestNoPrefetcherShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MeanWith <= 0 || res.MeanWithout <= 0 {
+	if res.Means[0] <= 0 || res.Means[1] <= 0 {
 		t.Fatal("missing ablation results")
+	}
+	// The no-pf column is measured against the no-prefetch baseline,
+	// not the DDR3 one.
+	baseNo, rlNo := core.Baseline(0), core.RL(0)
+	baseNo.Prefetch, rlNo.Prefetch = false, false
+	baseNo.Name, rlNo.Name = "DDR3-nopf", "RL-nopf"
+	for _, b := range r.Opts.Benchmarks {
+		bn, err := r.Run(baseNo, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rn, err := r.Run(rlNo, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.PerBench[b][1], rn.Throughput/bn.Throughput; got != want {
+			t.Errorf("%s no-pf = %v, want RL-nopf/DDR3-nopf throughput %v", b, got, want)
+		}
 	}
 }
 
@@ -306,15 +324,14 @@ func TestSubRankAblationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MeanNarrowPerf <= 0 || res.MeanWidePerf <= 0 ||
-		res.MeanNarrowEn <= 0 || res.MeanWideEn <= 0 {
+	narrowPerf, widePerf, narrowEn, wideEn := res.Means[0], res.Means[1], res.Means[2], res.Means[3]
+	if narrowPerf <= 0 || widePerf <= 0 || narrowEn <= 0 || wideEn <= 0 {
 		t.Fatalf("missing ablation results: %+v", res)
 	}
 	// §4.2.4: narrow ranks add rank/bank parallelism — the shipping
 	// narrow organization must not lose to the wide rank.
-	if res.MeanNarrowPerf < res.MeanWidePerf*0.97 {
-		t.Errorf("narrow ranks %v well below wide rank %v",
-			res.MeanNarrowPerf, res.MeanWidePerf)
+	if narrowPerf < widePerf*0.97 {
+		t.Errorf("narrow ranks %v well below wide rank %v", narrowPerf, widePerf)
 	}
 }
 

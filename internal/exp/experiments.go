@@ -117,15 +117,15 @@ func Experiments(topologies []core.SystemConfig) []Experiment {
 					{"Fig6 DL throughput loss", -0.09, s.Means[2] - 1},
 				}}
 		})},
-		{Name: "fig7", Run: reported(Fig7, func(_ *Runner, res Fig7Result) Report {
-			return Report{Text: text(res.Table), Headlines: []Headline{
-				{"Fig7 RD crit latency reduction", -0.30, -res.ReductionRD},
-				{"Fig7 RL crit latency reduction", -0.22, -res.ReductionRL},
+		{Name: "fig7", Run: reported(Fig7, func(r *Runner, s Study) Report {
+			return Report{Text: text(s.Table), Headlines: []Headline{
+				{"Fig7 RD crit latency reduction", -0.30, -critReduction(s, r.Opts.Benchmarks, 1)},
+				{"Fig7 RL crit latency reduction", -0.22, -critReduction(s, r.Opts.Benchmarks, 2)},
 			}}
 		})},
-		{Name: "fig8", Run: reported(Fig8, func(_ *Runner, res Fig8Result) Report {
-			return Report{Text: text(res.Table), Headlines: []Headline{
-				{"Fig8 served by RLDRAM3 (mean)", 0.67, res.Mean}}}
+		{Name: "fig8", Run: reported(Fig8, func(_ *Runner, s Study) Report {
+			return Report{Text: text(s.Table), Headlines: []Headline{
+				{"Fig8 served by RLDRAM3 (mean)", 0.67, s.Means[0]}}}
 		})},
 		{Name: "fig9", Run: reported(Fig9, func(_ *Runner, s Study) Report {
 			return Report{Text: text(s.Table), Headlines: []Headline{
@@ -133,11 +133,11 @@ func Experiments(topologies []core.SystemConfig) []Experiment {
 				{"Fig9 RL-OR gain", 0.28, s.Means[2] - 1},
 			}}
 		})},
-		{Name: "fig10", Run: reported(Fig10, func(_ *Runner, res Fig10Result) Report {
-			return Report{Text: text(res.Table), Headlines: []Headline{
-				{"Fig10 RL system energy", -0.06, res.MeanRL - 1},
-				{"Fig10 DL system energy", -0.13, res.MeanDL - 1},
-				{"Fig10 RL memory energy", -0.15, res.MeanRLMemEnergy - 1},
+		{Name: "fig10", Run: reported(Fig10, func(_ *Runner, s Study) Report {
+			return Report{Text: text(s.Table), Headlines: []Headline{
+				{"Fig10 RL system energy", -0.06, s.Means[1] - 1},
+				{"Fig10 DL system energy", -0.13, s.Means[2] - 1},
+				{"Fig10 RL memory energy", -0.15, s.Means[3] - 1},
 			}}
 		})},
 		{Name: "fig11", Run: reported(Fig11, func(_ *Runner, res Fig11Result) Report {
@@ -149,14 +149,14 @@ func Experiments(topologies []core.SystemConfig) []Experiment {
 			return Report{Text: text(s.Table), Headlines: []Headline{
 				{"§6.1.1 random mapping gain", 0.021, s.Means[0] - 1}}}
 		})},
-		{Name: "noprefetch", Run: reported(NoPrefetcher, func(_ *Runner, res NoPrefetcherResult) Report {
-			return Report{Text: text(res.Table), Headlines: []Headline{
-				{"§6.1.1 RL gain w/ prefetcher", 0.129, res.MeanWith - 1},
-				{"§6.1.1 RL gain w/o prefetcher", 0.173, res.MeanWithout - 1},
+		{Name: "noprefetch", Run: reported(NoPrefetcher, func(_ *Runner, s Study) Report {
+			return Report{Text: text(s.Table), Headlines: []Headline{
+				{"§6.1.1 RL gain w/ prefetcher", 0.129, s.Means[0] - 1},
+				{"§6.1.1 RL gain w/o prefetcher", 0.173, s.Means[1] - 1},
 			}}
 		})},
-		{Name: "reusegap", Run: reported(ReuseGap, func(_ *Runner, res ReuseGapResult) Report {
-			return Report{Text: text(res.Table)}
+		{Name: "reusegap", Run: reported(ReuseGap, func(_ *Runner, s Study) Report {
+			return Report{Text: text(s.Table)}
 		})},
 		{Name: "pageplacement", Run: reported(PagePlacement, func(_ *Runner, res PagePlacementResult) Report {
 			return Report{Text: text(res.Table), Headlines: []Headline{
@@ -167,14 +167,14 @@ func Experiments(topologies []core.SystemConfig) []Experiment {
 				"%-34s paper: shared bus bottlenecks RL-OR  measured: private-shared = %+.1f%%",
 				"§4.2.4 cmd bus ablation", (s.Means[1]-s.Means[0])*100)}}
 		})},
-		{Name: "subrank", Run: reported(SubRankAblation, func(_ *Runner, res SubRankResult) Report {
-			return Report{Text: text(res.Table), Notes: []string{fmt.Sprintf(
+		{Name: "subrank", Run: reported(SubRankAblation, func(_ *Runner, s Study) Report {
+			return Report{Text: text(s.Table), Notes: []string{fmt.Sprintf(
 				"%-34s paper: narrow ranks cut energy & queueing  measured perf n/w = %.3f/%.3f",
-				"§4.2.4 sub-rank ablation", res.MeanNarrowPerf, res.MeanWidePerf)}}
+				"§4.2.4 sub-rank ablation", s.Means[0], s.Means[1])}}
 		})},
-		{Name: "malladi", Run: reported(Malladi, func(_ *Runner, res MalladiResult) Report {
-			return Report{Text: text(res.Table), Headlines: []Headline{
-				{"§7.2 Malladi system energy", -0.261, res.MeanEnergy - 1}}}
+		{Name: "malladi", Run: reported(Malladi, func(_ *Runner, s Study) Report {
+			return Report{Text: text(s.Table), Headlines: []Headline{
+				{"§7.2 Malladi system energy", -0.261, s.Means[0] - 1}}}
 		})},
 		{Name: "policies", Run: reported(SchedulerPolicies, func(_ *Runner, s Study) Report {
 			return Report{Text: text(s.Table), Notes: []string{fmt.Sprintf(

@@ -29,15 +29,10 @@ var faultEnvs = []faultEnv{
 
 // FaultResult is the fault-sensitivity sweep outcome.
 type FaultResult struct {
-	// Envs lists the environment names in sweep order ("clean" first).
-	Envs []string
-	// Gains[i] is the geomean RL throughput under environment i
+	// Gains[i] is the geomean RL throughput under faultEnvs[i]
 	// normalized to the clean RL run (so "clean" reads 1.0).
 	Gains []float64
-	// Counters[i] holds the summed fault counters across the benchmark
-	// suite for environment i.
-	Counters []core.Results
-	Table    string
+	Table string
 }
 
 // FaultSensitivity measures how much of the RL configuration's benefit
@@ -97,9 +92,7 @@ func FaultSensitivity(r *Runner) (FaultResult, error) {
 			sum.Degraded = sum.Degraded || res.Degraded
 		}
 		g := stats.GeoMean(gains)
-		out.Envs = append(out.Envs, env.name)
 		out.Gains = append(out.Gains, g)
-		out.Counters = append(out.Counters, sum)
 		tb.AddRow(env.name, fmt.Sprintf("%.3f", g),
 			fmt.Sprint(sum.HeldWakes), fmt.Sprint(sum.CritEscapes),
 			fmt.Sprint(sum.SECDEDCorrected), fmt.Sprint(sum.Reconstructions),

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"hetsim/internal/core"
-	"hetsim/internal/stats"
 )
 
 // TestGoldenPaperDirections pins the paper's headline directions at
@@ -30,25 +29,21 @@ func TestGoldenPaperDirections(t *testing.T) {
 	or := core.RL(0)
 	or.Placement = core.PlaceOracle
 	or.Name = "RL-OR"
-	s, err := study(r, "paper directions",
-		column{"RD", core.RD(0)}, column{"RL", core.RL(0)}, column{"RL-OR", or},
-		column{"RLDRAM3-homog", core.HomogeneousRLDRAM3(0)})
+	s, err := study(r, ratios("paper directions"),
+		col("RD", core.RD(0)), col("RL", core.RL(0)), col("RL-OR", or),
+		col("RLDRAM3-homog", core.HomogeneousRLDRAM3(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// crit collects one config's mean critical word latency per benchmark.
-	crit := func(cfg core.SystemConfig) []float64 {
-		var out []float64
-		for _, b := range benches {
-			res, err := r.Run(cfg, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, res.CritLatency)
-		}
-		return out
+	// Mean critical word latency per config, arithmetic over the
+	// benchmarks.
+	base := core.Baseline(0)
+	crit, err := study(r, layout{title: "crit latency", format: "%.0f", summary: mean},
+		column{"DDR3", base, base, critLatency}, column{"RD", core.RD(0), base, critLatency},
+		column{"RL", core.RL(0), base, critLatency})
+	if err != nil {
+		t.Fatal(err)
 	}
-	critBase, critRD, critRL := crit(core.Baseline(0)), crit(core.RD(0)), crit(core.RL(0))
 
 	meanRD, meanRL, meanOR, meanHom := s.Means[0], s.Means[1], s.Means[2], s.Means[3]
 	t.Logf("geomeans: RD %.3f RL %.3f RL-OR %.3f RLDRAM3 %.3f", meanRD, meanRL, meanOR, meanHom)
@@ -74,7 +69,7 @@ func TestGoldenPaperDirections(t *testing.T) {
 	}
 	// Critical word latency falls under both heterogeneous systems
 	// (Figure 7: RD −30%, RL −22%).
-	mb, mrd, mrl := stats.ArithMean(critBase), stats.ArithMean(critRD), stats.ArithMean(critRL)
+	mb, mrd, mrl := crit.Means[0], crit.Means[1], crit.Means[2]
 	t.Logf("crit latency: base %.0f RD %.0f RL %.0f", mb, mrd, mrl)
 	if mrd >= mb {
 		t.Errorf("RD critical latency %.0f not below baseline %.0f", mrd, mb)

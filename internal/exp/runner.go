@@ -1,7 +1,11 @@
 // Package exp regenerates every table and figure of the paper's
 // evaluation (§3, §6, §7): each Fig/experiment function sweeps the
 // right system configurations over the benchmark suite and formats the
-// same rows/series the paper reports. A Runner executes (config,
+// same rows/series the paper reports. Most are a Study: one row per
+// benchmark, each column a value read from one config's run against a
+// reference run (by default its throughput against the DDR3
+// baseline's), then a geomean or mean row. Tables whose rows are not
+// benchmarks keep result types of their own. A Runner executes (config,
 // benchmark) pairs on a bounded worker pool with singleflight
 // deduplication, so figures that share runs (6/7/8, 9, 10/11) pay for
 // them once — and results are bit-identical to serial execution at any

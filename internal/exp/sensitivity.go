@@ -9,7 +9,6 @@ import (
 
 // ROBResult is the reorder-buffer depth sensitivity of the CWF benefit.
 type ROBResult struct {
-	Sizes []int
 	// Gains[i] is the RL throughput gain over a baseline with the same
 	// ROB size.
 	Gains []float64
@@ -24,7 +23,7 @@ func ROBSensitivity(r *Runner, sizes []int) (ROBResult, error) {
 	if len(sizes) == 0 {
 		sizes = []int{32, 64, 128}
 	}
-	out := ROBResult{Sizes: sizes}
+	var out ROBResult
 	tb := &stats.Table{Title: "ROB-depth sensitivity of the RL gain",
 		Headers: []string{"robsize", "RL/baseline"}}
 	bases := make([]core.SystemConfig, len(sizes))
