@@ -126,7 +126,8 @@ func TestFig6And7And8Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if redRD, redRL := critReduction(f7, r.Opts.Benchmarks, 1), critReduction(f7, r.Opts.Benchmarks, 2); redRD <= 0 || redRL <= 0 {
+	redRD, redRL := critReduction(f7, r.Opts.Benchmarks, 1), critReduction(f7, r.Opts.Benchmarks, 2)
+	if redRD <= 0 || redRL <= 0 {
 		t.Errorf("critical word latency reductions RD=%v RL=%v, want positive", redRD, redRL)
 	}
 	f8, err := Fig8(r)

@@ -168,13 +168,13 @@ func Fig7(r *Runner) (Study, error) {
 func critLatency(res, _ core.Results) float64 { return res.CritLatency }
 
 // critReduction is 1 − the arithmetic mean, over benches in order, of
-// Fig7 column col's latency relative to the DDR3 column's (paper: RD
+// Fig7 column i's latency relative to the DDR3 column's (paper: RD
 // −30%, RL −22%). Benchmarks with no baseline latency are skipped.
-func critReduction(f7 Study, benches []string, col int) float64 {
+func critReduction(f7 Study, benches []string, i int) float64 {
 	var rel []float64
 	for _, b := range benches {
 		if v := f7.PerBench[b]; v[0] > 0 {
-			rel = append(rel, v[col]/v[0])
+			rel = append(rel, v[i]/v[0])
 		}
 	}
 	return 1 - stats.ArithMean(rel)
