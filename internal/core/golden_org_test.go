@@ -190,7 +190,8 @@ func stripHostWork(jsonl []byte) []byte { return simEventsCol.ReplaceAll(jsonl, 
 // workCounters reads a finished run's exact work counters from the
 // registry's whole-run levels: engine events, demand fills, MSHR
 // merges, DRAM commands (acts, reads, writes and refreshes over every
-// channel group), and controller row misses and write drains.
+// channel group), and controller row misses and write drains. It adds
+// the cores' Step calls (cpu.Steps), which live outside the registry.
 func workCounters(sys *System) map[string]uint64 {
 	snap := sys.Reg.Snapshot(sys.Eng.Now())
 	v := telemetry.NewView(sys.Reg, snap, snap)
@@ -209,6 +210,9 @@ func workCounters(sys *System) map[string]uint64 {
 				w["memctrl."+last] += n
 			}
 		}
+	}
+	for _, c := range sys.Cores {
+		w["cpu.steps"] += c.Steps
 	}
 	return w
 }
