@@ -584,12 +584,19 @@ func (s *System) drive(stop func() bool, maxCycles sim.Cycle) {
 	for now < maxCycles {
 		eng.RunUntil(now)
 		if s.wakeSig != lastSig || minWake <= now {
+			// A core's in-flight stretch stops short of the next cycle
+			// anything reads its counters at: the stop poll, an epoch
+			// boundary or the cycle cap.
+			horizon := min(nextStop, maxCycles)
+			if s.sampler != nil {
+				horizon = min(horizon, s.nextSample)
+			}
 			for i, c := range s.Cores {
 				if c.WakePending() {
 					wakes[i] = now
 				}
 				if wakes[i] <= now {
-					wakes[i] = c.Step(now)
+					wakes[i] = c.Step(now, horizon)
 				}
 			}
 			lastSig = s.wakeSig
