@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"sort"
 
 	"hetsim/internal/cache"
@@ -113,10 +114,10 @@ func PagePlacement(r *Runner) (PagePlacementResult, error) {
 		if err != nil {
 			return out, err
 		}
-		selfN := 0.0
-		if base.ThroughputSelf > 0 {
-			selfN = res.ThroughputSelf / base.ThroughputSelf
+		if base.ThroughputSelf <= 0 {
+			return out, fmt.Errorf("exp: zero baseline throughput for %s", b)
 		}
+		selfN := res.ThroughputSelf / base.ThroughputSelf
 		out.PerBench[b] = n
 		vals = append(vals, n)
 		selfVals = append(selfVals, selfN)

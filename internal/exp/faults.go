@@ -81,9 +81,11 @@ func FaultSensitivity(r *Runner) (FaultResult, error) {
 			if err != nil {
 				return out, err
 			}
-			if base := clean[b].Throughput; base > 0 {
-				gains = append(gains, res.Throughput/base)
+			base := clean[b].Throughput
+			if base <= 0 {
+				return out, fmt.Errorf("exp: zero baseline throughput for %s", b)
 			}
+			gains = append(gains, res.Throughput/base)
 			sum.HeldWakes += res.HeldWakes
 			sum.CritEscapes += res.CritEscapes
 			sum.SECDEDCorrected += res.SECDEDCorrected

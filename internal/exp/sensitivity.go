@@ -50,9 +50,10 @@ func ROBSensitivity(r *Runner, sizes []int) (ROBResult, error) {
 			if err != nil {
 				return out, err
 			}
-			if bres.Throughput > 0 {
-				gains = append(gains, rres.Throughput/bres.Throughput)
+			if bres.Throughput <= 0 {
+				return out, fmt.Errorf("exp: zero baseline throughput for %s", b)
 			}
+			gains = append(gains, rres.Throughput/bres.Throughput)
 		}
 		g := stats.GeoMean(gains)
 		out.Gains = append(out.Gains, g)
