@@ -42,8 +42,9 @@ func (p *fakePort) Access(core int, addr uint64, store bool, wake func()) Access
 	return p.status
 }
 
-// drive steps the core until pred is true or the cycle budget runs out,
-// firing scripted wakes at the given times. Returns the final cycle.
+// drive steps the core until the cycle budget runs out, firing scripted
+// wakes at the given times, and syncs its counters to the final cycle
+// it returns.
 func drive(t *testing.T, c *Core, budget sim.Cycle, wakeAt map[sim.Cycle]int, port *fakePort) sim.Cycle {
 	t.Helper()
 	now := sim.Cycle(0)
@@ -55,7 +56,7 @@ func drive(t *testing.T, c *Core, budget sim.Cycle, wakeAt map[sim.Cycle]int, po
 				w()
 			}
 		}
-		next := c.Step(now, WaitForever)
+		next := c.Step(now)
 		if c.WakePending() {
 			now++
 			continue
@@ -76,14 +77,16 @@ func drive(t *testing.T, c *Core, budget sim.Cycle, wakeAt map[sim.Cycle]int, po
 		}
 		now = next
 	}
-	return now
+	end := min(now, budget)
+	c.Sync(end)
+	return end
 }
 
 func TestPureComputeIPC(t *testing.T) {
 	tr := &sliceTrace{}
 	c := New(0, DefaultConfig(), tr, &fakePort{status: AccessL1Hit})
 	end := drive(t, c, 10000, nil, nil)
-	ipc := c.IPC(end)
+	ipc := float64(c.Stat.Retired) / float64(end)
 	if ipc < 3.5 || ipc > 4.01 {
 		t.Fatalf("compute IPC = %v, want ~4", ipc)
 	}
@@ -96,7 +99,7 @@ func TestL1HitsBarelySlowPipeline(t *testing.T) {
 	}
 	c := New(0, DefaultConfig(), &sliceTrace{ops: ops}, &fakePort{status: AccessL1Hit})
 	end := drive(t, c, 5000, nil, nil)
-	if ipc := c.IPC(end); ipc < 3.0 {
+	if ipc := float64(c.Stat.Retired) / float64(end); ipc < 3.0 {
 		t.Fatalf("L1-hit IPC = %v, want near 4", ipc)
 	}
 	if c.Stat.Loads != 200 {
@@ -110,7 +113,7 @@ func TestMissStallsUntilWake(t *testing.T) {
 	c := New(0, DefaultConfig(), &sliceTrace{ops: ops}, port)
 
 	now := sim.Cycle(0)
-	c.Step(now, WaitForever)
+	c.Step(now)
 	if len(port.wakes) != 1 {
 		t.Fatalf("wakes registered = %d", len(port.wakes))
 	}
@@ -119,7 +122,7 @@ func TestMissStallsUntilWake(t *testing.T) {
 	var next sim.Cycle
 	for i := 0; i < 100; i++ {
 		now++
-		next = c.Step(now, WaitForever)
+		next = c.Step(now)
 		if next == WaitForever {
 			break
 		}
@@ -127,6 +130,7 @@ func TestMissStallsUntilWake(t *testing.T) {
 	if next != WaitForever {
 		t.Fatal("core never blocked on the miss")
 	}
+	c.Sync(now + 1)
 	retiredBefore := c.Stat.Retired
 	// Wake at cycle 500 and confirm retirement resumes.
 	now = 500
@@ -134,8 +138,9 @@ func TestMissStallsUntilWake(t *testing.T) {
 	if !c.WakePending() {
 		t.Fatal("wake not flagged")
 	}
-	c.Step(now, WaitForever)
-	c.Step(now+1, WaitForever)
+	c.Step(now)
+	c.Step(now + 1)
+	c.Sync(now + 2)
 	if c.Stat.Retired <= retiredBefore {
 		t.Fatal("no retirement after wake")
 	}
@@ -147,7 +152,7 @@ func TestIndependentMissesOverlap(t *testing.T) {
 	port := &fakePort{status: AccessMiss}
 	ops := []MemOp{{Gap: 0, Addr: 64}, {Gap: 0, Addr: 128}}
 	c := New(0, DefaultConfig(), &sliceTrace{ops: ops}, port)
-	c.Step(0, WaitForever)
+	c.Step(0)
 	if len(port.wakes) != 2 {
 		t.Fatalf("outstanding misses = %d, want 2 (MLP)", len(port.wakes))
 	}
@@ -160,7 +165,7 @@ func TestDependentLoadSerializes(t *testing.T) {
 	ops := []MemOp{{Gap: 0, Addr: 64}, {Gap: 0, Addr: 128, DepPrev: true}}
 	c := New(0, DefaultConfig(), &sliceTrace{ops: ops}, port)
 	for now := sim.Cycle(0); now < 50; now++ {
-		c.Step(now, WaitForever)
+		c.Step(now)
 	}
 	if len(port.wakes) != 1 {
 		t.Fatalf("dependent load issued early: %d wakes", len(port.wakes))
@@ -171,8 +176,8 @@ func TestDependentLoadSerializes(t *testing.T) {
 	// Resolve the first load; the second must now issue.
 	port.wakes[0]()
 	c.WakePending()
-	c.Step(51, WaitForever)
-	c.Step(52, WaitForever)
+	c.Step(51)
+	c.Step(52)
 	if len(port.wakes) != 2 {
 		t.Fatalf("dependent load never issued after wake: %d", len(port.wakes))
 	}
@@ -182,13 +187,13 @@ func TestRetryBlocksDispatch(t *testing.T) {
 	port := &fakePort{status: AccessL1Hit, retries: 3}
 	ops := []MemOp{{Gap: 0, Addr: 64}}
 	c := New(0, DefaultConfig(), &sliceTrace{ops: ops}, port)
-	c.Step(0, WaitForever)
-	c.Step(1, WaitForever)
-	c.Step(2, WaitForever)
+	c.Step(0)
+	c.Step(1)
+	c.Step(2)
 	if c.Stat.Loads != 0 {
 		t.Fatal("load issued during retry window")
 	}
-	c.Step(3, WaitForever)
+	c.Step(3)
 	if c.Stat.Loads != 1 {
 		t.Fatalf("load not issued after retries; loads=%d", c.Stat.Loads)
 	}
@@ -207,7 +212,7 @@ func TestStoresDoNotBlockRetirement(t *testing.T) {
 	port := &fakePort{status: AccessMiss}
 	c := New(0, DefaultConfig(), &sliceTrace{ops: ops}, port)
 	end := drive(t, c, 5000, nil, port)
-	if ipc := c.IPC(end); ipc < 3.0 {
+	if ipc := float64(c.Stat.Retired) / float64(end); ipc < 3.0 {
 		t.Fatalf("store-miss IPC = %v, want near 4", ipc)
 	}
 	if c.Stat.Stores != 100 {
@@ -223,7 +228,7 @@ func TestFastForwardCountsInstructions(t *testing.T) {
 	now := sim.Cycle(0)
 	steps := 0
 	for now < 40000 {
-		next := c.Step(now, WaitForever)
+		next := c.Step(now)
 		steps++
 		if next == WaitForever {
 			t.Fatal("unexpected block")
@@ -233,7 +238,8 @@ func TestFastForwardCountsInstructions(t *testing.T) {
 	if steps > 5000 {
 		t.Fatalf("fast-forward ineffective: %d steps for 40k cycles", steps)
 	}
-	if ipc := c.IPC(now); ipc < 3.5 {
+	c.Sync(now)
+	if ipc := float64(c.Stat.Retired) / float64(now); ipc < 3.5 {
 		t.Fatalf("fast-forward IPC = %v", ipc)
 	}
 }
@@ -246,7 +252,7 @@ func TestROBNeverExceedsCapacity(t *testing.T) {
 	}
 	c := New(0, DefaultConfig(), &sliceTrace{ops: ops}, port)
 	for now := sim.Cycle(0); now < 200; now++ {
-		c.Step(now, WaitForever)
+		c.Step(now)
 		if c.count > c.Cfg.ROBSize {
 			t.Fatalf("ROB overflow: %d", c.count)
 		}
@@ -255,13 +261,6 @@ func TestROBNeverExceedsCapacity(t *testing.T) {
 	// can be in flight.
 	if len(port.wakes) == 0 || len(port.wakes) > 33 {
 		t.Fatalf("outstanding misses = %d", len(port.wakes))
-	}
-}
-
-func TestIPCZeroElapsed(t *testing.T) {
-	c := New(0, DefaultConfig(), &sliceTrace{}, &fakePort{})
-	if c.IPC(0) != 0 {
-		t.Fatal("IPC(0) must be 0")
 	}
 }
 
@@ -291,7 +290,7 @@ func TestNewValidation(t *testing.T) {
 func TestWakePendingClears(t *testing.T) {
 	port := &fakePort{status: AccessMiss}
 	c := New(0, DefaultConfig(), &sliceTrace{ops: []MemOp{{Addr: 64}}}, port)
-	c.Step(0, WaitForever)
+	c.Step(0)
 	port.wakes[0]()
 	if !c.WakePending() {
 		t.Fatal("WakePending lost the flag")
@@ -307,8 +306,8 @@ func TestDependentStoreDoesNotBlockOnLoad(t *testing.T) {
 	port := &fakePort{status: AccessMiss}
 	ops := []MemOp{{Addr: 64}, {Addr: 128, Store: true}}
 	c := New(0, DefaultConfig(), &sliceTrace{ops: ops}, port)
-	c.Step(0, WaitForever)
-	c.Step(1, WaitForever)
+	c.Step(0)
+	c.Step(1)
 	if c.Stat.Stores != 1 {
 		t.Fatalf("store not dispatched behind the miss: stores=%d", c.Stat.Stores)
 	}
@@ -323,7 +322,7 @@ func TestWaitForeverOnlyWhenTrulyBlocked(t *testing.T) {
 	sawProgress := false
 	var blocked bool
 	for now := sim.Cycle(0); now < 200; now++ {
-		next := c.Step(now, WaitForever)
+		next := c.Step(now)
 		if next == now+1 {
 			sawProgress = true
 		}
@@ -346,25 +345,25 @@ func TestIPCAccountsFastForwardedInstructions(t *testing.T) {
 	c := New(0, DefaultConfig(), tr, &fakePort{status: AccessL1Hit})
 	now := sim.Cycle(0)
 	for now < 100000 {
-		next := c.Step(now, WaitForever)
+		next := c.Step(now)
 		if next <= now {
 			t.Fatal("no progress")
 		}
 		now = next
 	}
-	if ipc := c.IPC(now); ipc > float64(c.Cfg.Width)+0.01 {
+	c.Sync(now)
+	if ipc := float64(c.Stat.Retired) / float64(now); ipc > float64(c.Cfg.Width)+0.01 {
 		t.Fatalf("IPC %v exceeds width", ipc)
 	}
 }
 
-// --- Fast-path batching differential -------------------------------
+// --- Batching differential -------------------------------------------
 //
-// The analytic paths in Step (steady-stream batching, the empty-ROB
-// fast-forward and the in-flight stretch) must be invisible: a core
-// using them and a core stepping every cycle must issue every memory
-// access at the same cycle with the same cumulative retire count.
-// scriptPort records that observable surface; the exact flag builds
-// the reference side.
+// The in-flight stretch in Step must be invisible: a core using it and
+// a core stepping every cycle must issue every memory access at the
+// same cycle with the same cumulative retire count, and read the same
+// Stat wherever it is synced. scriptPort records that observable
+// surface; the exact flag builds the reference side.
 
 // scriptRec is one observed memory access.
 type scriptRec struct {
@@ -452,11 +451,11 @@ type scriptRun struct {
 // runScripted drives one core against sc's scripted port until end.
 // Like System.drive, it steps the core when it is due and at every
 // miss wake, even one that lands inside a batched jump, and the step
-// at a wake's cycle sees that wake. horizon gives the horizon passed to
-// each Step (nil: none); observe, if set, sees the core before each
-// step.
+// at a wake's cycle sees that wake. observe, if set, sees the core
+// before each step and once more at end; the final stats are synced to
+// end.
 func runScripted(t *testing.T, sc scenario, exact bool, end sim.Cycle,
-	horizon func(sim.Cycle) sim.Cycle, observe func(*Core, sim.Cycle)) scriptRun {
+	observe func(*Core, sim.Cycle)) scriptRun {
 	t.Helper()
 	var clock sim.Cycle
 	c, port := newScripted(sc, &clock, exact)
@@ -466,13 +465,9 @@ func runScripted(t *testing.T, sc scenario, exact bool, end sim.Cycle,
 			observe(c, clock)
 		}
 		port.deliver()
-		h := WaitForever
-		if horizon != nil {
-			h = horizon(clock)
-		}
 		c.WakePending() // this step sees every wake delivered so far
 		steps := c.Steps
-		next := c.Step(clock, h)
+		next := c.Step(clock)
 		if c.Steps == steps {
 			run.resteps++
 		}
@@ -485,21 +480,26 @@ func runScripted(t *testing.T, sc scenario, exact bool, end sim.Cycle,
 		}
 		clock = next
 	}
+	if observe != nil {
+		observe(c, end)
+	}
+	c.Sync(end)
 	run.recs, run.stat, run.steps = port.recs, c.Stat, c.Steps
 	return run
 }
 
-// randomHorizons returns a horizon function over a fixed random grid
-// of points 1 to 100 cycles apart: each call gets the first point at or
-// after its cycle.
-func randomHorizons(seed int64) func(sim.Cycle) sim.Cycle {
+// randomObservations returns an observe function for runScripted that
+// syncs the core at a fixed random grid of points 1 to 100 cycles
+// apart, as System.drive does at stop polls and epoch boundaries, and
+// appends its Stat there to *seen.
+func randomObservations(seed int64, seen *[]Stats) func(*Core, sim.Cycle) {
 	rng := rand.New(rand.NewSource(seed))
-	next := sim.Cycle(0)
-	return func(now sim.Cycle) sim.Cycle {
-		for next < now {
-			next += sim.Cycle(1 + rng.Intn(100))
+	at := sim.Cycle(0)
+	return func(c *Core, now sim.Cycle) {
+		for ; at <= now; at += sim.Cycle(1 + rng.Intn(100)) {
+			c.Sync(at)
+			*seen = append(*seen, c.Stat)
 		}
-		return next
 	}
 }
 
@@ -550,13 +550,15 @@ func TestStepBatchingDifferential(t *testing.T) {
 	}
 	l2Ops, l2Status := l2BehindHeadOps(40)
 	missOps, missStatus := overlappedMissOps(50)
-	hOps, hStatus := handoverOps(12)
+	hOps, hStatus := fullROBOps(12)
 	mOps, mStatus := mixedOps(4, 150)
 	slowL2 := DefaultConfig()
 	slowL2.L2Latency = 40
 	cases := []struct {
-		sc      scenario
-		horizon func(sim.Cycle) sim.Cycle
+		sc scenario
+		// obsSeed, when set, syncs both cores at the same random
+		// observation points and compares their Stat there.
+		obsSeed int64
 		// resteps requires at least one wake to land inside a stretch.
 		resteps bool
 	}{
@@ -569,15 +571,21 @@ func TestStepBatchingDifferential(t *testing.T) {
 			missLat: 160, jitter: 50, retryAt: -1}},
 		{sc: scenario{name: "wake-inside-stretch", cfg: DefaultConfig(), ops: missOps, status: missStatus,
 			missLat: 150, jitter: 40, retryAt: 9}, resteps: true},
-		{sc: scenario{name: "random-horizons", cfg: DefaultConfig(), ops: mOps, status: mStatus,
-			missLat: 200, jitter: 80, retryAt: 4}, horizon: randomHorizons(7)},
-		{sc: scenario{name: "full-rob-handover", cfg: DefaultConfig(), ops: hOps, status: hStatus,
-			missLat: 217, retryAt: -1}, horizon: randomHorizons(8)},
+		{sc: scenario{name: "random-observations", cfg: DefaultConfig(), ops: mOps, status: mStatus,
+			missLat: 200, jitter: 80, retryAt: 4}, obsSeed: 7},
+		{sc: scenario{name: "full-rob-past-loads", cfg: DefaultConfig(), ops: hOps, status: hStatus,
+			missLat: 217, retryAt: -1}, obsSeed: 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.sc.name, func(t *testing.T) {
-			ref := runScripted(t, tc.sc, true, 60_000, nil, nil)
-			got := runScripted(t, tc.sc, false, 60_000, tc.horizon, nil)
+			var refSeen, gotSeen []Stats
+			var refObs, gotObs func(*Core, sim.Cycle)
+			if tc.obsSeed != 0 {
+				refObs = randomObservations(tc.obsSeed, &refSeen)
+				gotObs = randomObservations(tc.obsSeed, &gotSeen)
+			}
+			ref := runScripted(t, tc.sc, true, 60_000, refObs)
+			got := runScripted(t, tc.sc, false, 60_000, gotObs)
 			if len(ref.recs) != len(got.recs) {
 				t.Fatalf("access counts diverged: exact %d, batched %d", len(ref.recs), len(got.recs))
 			}
@@ -586,12 +594,13 @@ func TestStepBatchingDifferential(t *testing.T) {
 					t.Fatalf("access %d diverged:\nexact   %+v\nbatched %+v", i, ref.recs[i], got.recs[i])
 				}
 			}
-			// Retired is compared per-access above (any batch has fully
-			// drained by the next memory access); at the end of the run
-			// it may sit mid-lump, so exclude it here.
-			ref.stat.Retired, got.stat.Retired = 0, 0
 			if ref.stat != got.stat {
 				t.Errorf("stats diverged:\nexact   %+v\nbatched %+v", ref.stat, got.stat)
+			}
+			for i := range refSeen {
+				if gotSeen[i] != refSeen[i] {
+					t.Fatalf("observation %d diverged:\nexact   %+v\nbatched %+v", i, refSeen[i], gotSeen[i])
+				}
 			}
 			if tc.sc.cfg.ROBSize >= tc.sc.cfg.Width && got.steps >= ref.steps {
 				t.Errorf("batched core did %d steps, exact %d: nothing was batched", got.steps, ref.steps)

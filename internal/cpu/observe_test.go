@@ -1,24 +1,11 @@
 package cpu
 
 import (
-	"flag"
-	"fmt"
 	"math/rand"
-	"os"
-	"strings"
 	"testing"
 
 	"hetsim/internal/sim"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/observe.golden")
-
-// observeGoldenPath pins a core's Stat on a fixed observation grid, one
-// line per grid point where it changed, for each observeScenarios case.
-const observeGoldenPath = "testdata/observe.golden"
-
-// observeGrid is the observation spacing, System.drive's stop-poll grid.
-const observeGrid = 64
 
 // scenario is one scripted workload for a core: its trace, the status
 // sequence its loads see (indexed by access, stores included), and the
@@ -34,12 +21,12 @@ type scenario struct {
 	retryAt int // inject one AccessRetry at this access index
 }
 
-// handoverOps repeats a miss, a few L1-hit loads behind it, and a long
+// fullROBOps repeats a miss, a few L1-hit loads behind it, and a long
 // compute run: the miss stalls the head until the ROB fills with hits,
-// its wake lets the window drain at full width with loads still in
-// flight, and once the last of them retires a full, load-free ROB
-// hands over to the steady-stream path.
-func handoverOps(rounds int) ([]MemOp, []AccessStatus) {
+// its wake lets the window slide at full width with loads still in
+// flight, and the stretch runs on through a full, load-free ROB once
+// the last of them retires.
+func fullROBOps(rounds int) ([]MemOp, []AccessStatus) {
 	var ops []MemOp
 	var status []AccessStatus
 	for r := 0; r < rounds; r++ {
@@ -80,16 +67,17 @@ func mixedOps(seed int64, n int) ([]MemOp, []AccessStatus) {
 	return ops, status
 }
 
-// observeScenarios are the cases the observation golden pins.
+// observeScenarios are the cases TestObservationDifferential reads at
+// every cycle.
 func observeScenarios() []scenario {
-	hOps, hStatus := handoverOps(12)
+	hOps, hStatus := fullROBOps(12)
 	mOps, mStatus := mixedOps(1, 100)
 	nOps, nStatus := mixedOps(2, 80)
 	wOps, wStatus := mixedOps(3, 100)
 	narrow := Config{ROBSize: 8, Width: 4, L1Latency: 1, L2Latency: 10}
 	wide := Config{ROBSize: 128, Width: 8, L1Latency: 1, L2Latency: 10}
 	return []scenario{
-		{name: "handover", cfg: DefaultConfig(), ops: hOps, status: hStatus, missLat: 217, retryAt: -1},
+		{name: "full-rob", cfg: DefaultConfig(), ops: hOps, status: hStatus, missLat: 217, retryAt: -1},
 		{name: "mixed", cfg: DefaultConfig(), ops: mOps, status: mStatus, missLat: 180, jitter: 90, retryAt: 7},
 		{name: "narrow-rob", cfg: narrow, ops: nOps, status: nStatus, missLat: 150, jitter: 60, retryAt: 3},
 		{name: "wide", cfg: wide, ops: wOps, status: wStatus, missLat: 240, jitter: 120, retryAt: 11},
@@ -107,58 +95,36 @@ func newScripted(sc scenario, clock *sim.Cycle, exact bool) (*Core, *scriptPort)
 	return c, port
 }
 
-// observeRun drives a core with runScripted, passing the next grid
-// point after each cycle as the horizon. It reads Stat at every
-// observeGrid point before that cycle is stepped, which is where the
-// steady-stream and drained paths show the work they credit ahead and
-// where an in-flight stretch, which never covers its horizon, must
-// read exact. It keeps one line per point whose Stat differs from the
-// previous point's.
-func observeRun(t *testing.T, sc scenario, until sim.Cycle) []string {
-	var lines []string
-	var last Stats
-	obs := sim.Cycle(0)
-	next := func(now sim.Cycle) sim.Cycle { return (now/observeGrid + 1) * observeGrid }
-	runScripted(t, sc, false, until, next, func(c *Core, now sim.Cycle) {
-		for ; obs <= now; obs += observeGrid {
-			if s := c.Stat; s != last {
-				last = s
-				lines = append(lines, fmt.Sprintf("%s %d %d %d %d %d %d %d", sc.name, obs,
-					s.Retired, s.Loads, s.Stores, s.LoadMisses, s.RetryStalls, s.DepStalls))
-			}
+// statsByCycle drives a core with runScripted and returns its Stat as
+// read at every cycle t in [0, end]: synced to t, before the step at t.
+func statsByCycle(t *testing.T, sc scenario, exact bool, end sim.Cycle) []Stats {
+	stats := make([]Stats, 0, end+1)
+	runScripted(t, sc, exact, end, func(c *Core, now sim.Cycle) {
+		for at := sim.Cycle(len(stats)); at <= now; at++ {
+			c.Sync(at)
+			stats = append(stats, c.Stat)
 		}
 	})
-	return lines
+	return stats
 }
 
-// TestObservePointsGolden pins the core's counters at every point of a
-// 64-cycle observation grid. The analytic paths in Step may credit work
-// ahead of the cycle stepping reaches, and where they do, the grid sees
-// it; a change to where one path hands over to another moves these
-// lines even when every memory access keeps its cycle.
-func TestObservePointsGolden(t *testing.T) {
-	var got []string
+// TestObservationDifferential reads the batched core's Stat, synced, at
+// every cycle and requires it to equal a per-cycle core's. Whatever
+// cycle System.drive stops, samples an epoch or resets the counters
+// at, it then reads what stepping every cycle would have counted.
+func TestObservationDifferential(t *testing.T) {
 	for _, sc := range observeScenarios() {
-		got = append(got, observeRun(t, sc, 24_000)...)
-	}
-	text := strings.Join(got, "\n") + "\n"
-	if *updateGolden {
-		if err := os.WriteFile(observeGoldenPath, []byte(text), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(observeGoldenPath)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
-	if len(wantLines) != len(got) {
-		t.Fatalf("%d observations, golden has %d", len(got), len(wantLines))
-	}
-	for i := range got {
-		if got[i] != wantLines[i] {
-			t.Fatalf("observation %d diverged:\ngot    %s\ngolden %s", i, got[i], wantLines[i])
-		}
+		t.Run(sc.name, func(t *testing.T) {
+			ref := statsByCycle(t, sc, true, 24_000)
+			got := statsByCycle(t, sc, false, 24_000)
+			for at := range ref {
+				if got[at] != ref[at] {
+					t.Fatalf("Stat at cycle %d diverged:\nexact   %+v\nbatched %+v", at, ref[at], got[at])
+				}
+			}
+			if got[len(got)-1].Retired == 0 {
+				t.Fatal("nothing retired")
+			}
+		})
 	}
 }
