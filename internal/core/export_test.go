@@ -1,7 +1,10 @@
 package core
 
-// The external test package shares the organization golden file.
+// The external test package shares the golden-file helpers.
 var (
+	OrgGoldenPath = orgGoldenPath
 	GoldenSection = goldenSection
 	CheckDigest   = checkDigest
+	AppendBits    = appendBits
+	StripHostWork = stripHostWork
 )

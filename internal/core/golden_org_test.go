@@ -23,8 +23,8 @@ import (
 	"hetsim/internal/trace"
 )
 
-// orgGoldenPath holds the organization golden file. Each line is
-// "<section> <name> <value>":
+// orgGoldenPath holds the organization golden file. Each line of a
+// golden file is "<section> <name> <value>"; this one's sections are:
 //   - org: one SHA-256 per organization case over its simulated
 //     behaviour (TestSystemTopologyDifferential);
 //   - work: that case's exact work counters, host events included, as
@@ -33,13 +33,13 @@ import (
 //     (TestRunKeyHashGolden).
 const orgGoldenPath = "testdata/organizations.golden"
 
-// readGoldenSection returns the section's entries and, separately, the
-// raw lines of every other section.
-func readGoldenSection(t *testing.T, section string) (map[string]string, []string) {
+// readGoldenSection returns the section's entries in the golden file
+// at path and, separately, the raw lines of every other section.
+func readGoldenSection(t *testing.T, path, section string) (map[string]string, []string) {
 	t.Helper()
 	want := map[string]string{}
 	var other []string
-	f, err := os.Open(orgGoldenPath)
+	f, err := os.Open(path)
 	if os.IsNotExist(err) && *updateGolden {
 		return want, nil
 	}
@@ -65,26 +65,26 @@ func readGoldenSection(t *testing.T, section string) (map[string]string, []strin
 	return want, other
 }
 
-// goldenSection returns the section's golden entries (name → value).
-// Under -update it returns an empty map and, when the test ends,
-// rewrites the section from got, leaving every other section's lines
-// as the file holds them then.
-func goldenSection(t *testing.T, section string, got map[string]string) map[string]string {
+// goldenSection returns the section's golden entries (name → value)
+// in the golden file at path. Under -update it returns an empty map
+// and, when the test ends, rewrites the section from got, leaving every
+// other section's lines as the file holds them then.
+func goldenSection(t *testing.T, path, section string, got map[string]string) map[string]string {
 	t.Helper()
 	if !*updateGolden {
-		want, _ := readGoldenSection(t, section)
+		want, _ := readGoldenSection(t, path, section)
 		return want
 	}
 	t.Cleanup(func() {
-		_, lines := readGoldenSection(t, section)
+		_, lines := readGoldenSection(t, path, section)
 		for n, h := range got {
 			lines = append(lines, fmt.Sprintf("%s %s %s", section, n, h))
 		}
 		sort.Strings(lines)
-		if err := os.WriteFile(orgGoldenPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote section %s of %s (%d entries)", section, orgGoldenPath, len(got))
+		t.Logf("rewrote section %s of %s (%d entries)", section, path, len(got))
 	})
 	return map[string]string{}
 }
@@ -286,8 +286,8 @@ func TestSystemTopologyDifferential(t *testing.T) {
 		{"dram-cache", DRAMCached(2), "mcf"},
 	}
 	got, gotWork := map[string]string{}, map[string]string{}
-	want := goldenSection(t, "org", got)
-	wantWork := goldenSection(t, "work", gotWork)
+	want := goldenSection(t, orgGoldenPath, "org", got)
+	wantWork := goldenSection(t, orgGoldenPath, "work", gotWork)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			digest, work := runDigest(t, tc.cfg, tc.bench)

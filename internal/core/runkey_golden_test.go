@@ -18,7 +18,7 @@ import (
 func TestRunKeyHashGolden(t *testing.T) {
 	aliasOf := map[string]string{"hmc-mix": "hmc"}
 	got := map[string]string{}
-	want := core.GoldenSection(t, "runkey", got)
+	want := core.GoldenSection(t, core.OrgGoldenPath, "runkey", got)
 	for _, name := range grid.ConfigNames() {
 		cfg, err := grid.Config(name, 8)
 		if err != nil {
