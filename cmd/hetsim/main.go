@@ -87,7 +87,7 @@ func main() {
 		}()
 	}
 
-	res, err := cell.Run()
+	res, err := cell.Run(nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hetsim:", err)
 		os.Exit(1)

@@ -508,7 +508,7 @@ func (s *Server) runCell(c *cell) (res hetsim.Results, hit bool, err error) {
 	run.Cfg.Cancel = func() bool {
 		return s.aborting.Load() || (!deadline.IsZero() && time.Now().After(deadline))
 	}
-	res, hit, err = exp.ReadThrough(s.cache, c.key, run, s.logf)
+	res, hit, err = exp.ReadThrough(s.cache, c.key, run, nil, s.logf)
 	if errors.Is(err, grid.ErrCanceled) {
 		if s.aborting.Load() {
 			return hetsim.Results{}, false, fmt.Errorf("sweepd: run aborted by drain deadline")

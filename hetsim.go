@@ -182,7 +182,7 @@ func RunPair(cfg Config, benchmark string, scale Scale) (Results, error) {
 	if err != nil {
 		return Results{}, fmt.Errorf("hetsim: %w", err)
 	}
-	return core.RunPair(cfg, spec, scale)
+	return core.RunPair(cfg, spec, scale, nil)
 }
 
 // Experiments regenerates the paper's tables and figures. Zero-value

@@ -181,6 +181,50 @@ func (c *Cache) SetMeta(lineAddr uint64, meta uint8) bool {
 	return false
 }
 
+// Snapshot is a copy of a cache's resident lines, to be restored into
+// fresh caches of the same geometry. It holds only the valid lines,
+// each with its slot, so a restore costs time in proportion to them
+// rather than to the cache's capacity.
+type Snapshot struct {
+	slots []int32 // set*ways + way of each line
+	lines []line
+	tick  uint64
+	stat  Stats
+}
+
+// Snapshot copies the cache's resident lines, LRU clock and stats.
+func (c *Cache) Snapshot() Snapshot {
+	n := 0
+	for _, set := range c.sets {
+		for _, l := range set {
+			if l.valid {
+				n++
+			}
+		}
+	}
+	s := Snapshot{slots: make([]int32, 0, n), lines: make([]line, 0, n), tick: c.tick, stat: c.Stat}
+	for si, set := range c.sets {
+		for w, l := range set {
+			if l.valid {
+				s.slots = append(s.slots, int32(si*c.ways+w))
+				s.lines = append(s.lines, l)
+			}
+		}
+	}
+	return s
+}
+
+// Restore installs s into c, which must be empty and of the geometry s
+// was taken from. s is only read, so one snapshot may be restored into
+// many caches at once.
+func (c *Cache) Restore(s Snapshot) {
+	for i, slot := range s.slots {
+		c.sets[int(slot)/c.ways][int(slot)%c.ways] = s.lines[i]
+	}
+	c.tick = s.tick
+	c.Stat = s.stat
+}
+
 // MissRate reports misses / (hits+misses), 0 when no accesses.
 func (s Stats) MissRate() float64 {
 	t := s.Hits + s.Misses

@@ -117,11 +117,14 @@ const (
 	perLineTrackCap = 200_000
 )
 
+// newLLC builds the shared 4MB 8-way L2/LLC (Table 1).
+func newLLC() *cache.Cache { return cache.New(4*1024*1024, 8) }
+
 func newHierarchy(eng *sim.Engine, cfg SystemConfig, mem backend, shared bool) *Hierarchy {
 	h := &Hierarchy{
 		eng: eng, cfg: cfg, mem: mem, sharedSpace: shared,
 		split:  cfg.Topology.Shape() == topology.ShapeCWF,
-		l2:     cache.New(4*1024*1024, 8),
+		l2:     newLLC(),
 		mshr:   cache.NewMSHR(MSHRCapacity),
 		placed: make(map[uint64]uint8),
 		rng:    sim.NewRNG(cfg.Seed ^ 0xec5),
@@ -496,17 +499,29 @@ func (h *Hierarchy) handleL2Eviction(ev cache.Eviction) {
 	h.queueWriteback(ev.LineAddr)
 }
 
-// relayout applies adaptive placement's re-organization of a line on its
-// way to DRAM (§4.2.5): the predicted critical word becomes the placed
-// word. Lines without a valid prediction keep their current layout.
+// adaptive reports whether the DRAM layout follows adaptive placement
+// (§4.2.5), which only a split organization has.
+func (h *Hierarchy) adaptive() bool { return h.split && h.cfg.Placement == PlaceAdaptive }
+
+// relayout applies adaptive placement's re-organization of a line on
+// its way to DRAM (see the relayout function).
 func (h *Hierarchy) relayout(ev cache.Eviction) {
-	if !h.split || h.cfg.Placement != PlaceAdaptive || ev.Meta&metaValid == 0 {
+	if h.adaptive() {
+		relayout(h.placed, ev)
+	}
+}
+
+// relayout re-organizes a written-back line in the layout placed
+// (§4.2.5): the predicted critical word becomes the placed word. Lines
+// without a valid prediction keep their current layout.
+func relayout(placed map[uint64]uint8, ev cache.Eviction) {
+	if ev.Meta&metaValid == 0 {
 		return
 	}
 	if w := ev.Meta & metaWord; w == 0 {
-		delete(h.placed, ev.LineAddr)
+		delete(placed, ev.LineAddr)
 	} else {
-		h.placed[ev.LineAddr] = w
+		placed[ev.LineAddr] = w
 	}
 }
 
@@ -608,23 +623,6 @@ func (h *Hierarchy) trackPerLine(la uint64, word int) {
 		h.perLine[la] = rec
 	}
 	rec[word]++
-}
-
-// Prewarm functionally installs a line during checkpoint restore: no
-// cycles pass, no DRAM traffic is generated, evicted victims vanish.
-// The metadata mirrors what a long history would have left behind.
-func (h *Hierarchy) Prewarm(coreID int, addr uint64, store bool) {
-	la := cache.LineAddr(addr)
-	word := cache.WordIndex(addr)
-	if h.l2.Contains(la) {
-		h.l2.Lookup(la, store) // refresh LRU; dirty on store
-		return
-	}
-	// Checkpoint restore includes the DRAM layout the write-backs of the
-	// replayed history would have left behind (§4.2.5).
-	if ev, evicted := h.l2.Insert(la, store, metaValid|uint8(word)); evicted && ev.Dirty {
-		h.relayout(ev)
-	}
 }
 
 // PerLineCensus returns the per-line critical word counts (Figure 3).

@@ -38,6 +38,9 @@ type System struct {
 	// iterations where only memory-side events fired.
 	wakeSig uint64
 
+	// started latches at the first Run, the only one that prewarms.
+	started bool
+
 	// wakes is the next cycle each core wants stepping. It outlives a
 	// drive call, so the warmup→measure restart steps no core early or
 	// twice at the stop cycle.
@@ -410,9 +413,19 @@ func (r Results) Clone() Results {
 	return out
 }
 
-// Run executes prewarm, warmup, then a measured window.
-func (s *System) Run(scale RunScale) Results {
-	s.prewarm(scale.PrewarmOps)
+// Run executes prewarm, warmup, then a measured window, building the
+// prewarm checkpoint privately (see RunWith).
+func (s *System) Run(scale RunScale) Results { return s.RunWith(scale, nil) }
+
+// RunWith is Run with the prewarm checkpoint restored from cps, built
+// there by the first system that needs it; a nil cps builds a private
+// one. A later Run resumes the machine as the last one left it, so only
+// the first restores a checkpoint.
+func (s *System) RunWith(scale RunScale, cps *Checkpoints) Results {
+	if !s.started {
+		s.started = true
+		s.prewarm(scale.PrewarmOps, cps)
+	}
 	// withCancel folds Cfg.Cancel into a stop condition: a fired
 	// deadline or context ends the drive at the next stop-grid point.
 	// With Cancel nil (or never firing) the closure is pass-through, so
@@ -456,19 +469,13 @@ func (s *System) Run(scale RunScale) Results {
 	return res
 }
 
-// prewarm replays ops per core into the caches functionally (see
-// RunScale.PrewarmOps). The generators advance, so the timed run
-// resumes exactly where the replay stopped, with its history intact.
-func (s *System) prewarm(ops uint64) {
-	if ops == 0 {
-		return
-	}
-	for i := 0; i < s.Cfg.NCores; i++ {
-		gen := s.gens[i]
-		for n := uint64(0); n < ops; n++ {
-			op := gen.Next()
-			s.Hier.Prewarm(i, op.Addr, op.Store)
-		}
+// prewarm brings the system to the checkpoint of ops replayed
+// operations per core (see RunScale.PrewarmOps) from cps. The
+// generators resume where the replay stopped, so the timed run
+// continues its history intact.
+func (s *System) prewarm(ops uint64, cps *Checkpoints) {
+	if ops > 0 {
+		cps.prewarm(CheckpointKey{s.Spec, s.Cfg.NCores, s.Cfg.Seed, ops}, s)
 	}
 }
 
@@ -695,13 +702,14 @@ func (s *System) deadlockReport(now sim.Cycle) string {
 // reference is a single-core run on the *baseline* DDR3 memory system
 // (with the same prefetcher setting), so that throughput ratios between
 // memory organizations reflect their shared-run behaviour — this is how
-// the paper's normalized figures read.
-func RunPair(cfg SystemConfig, spec workload.Spec, scale RunScale) (Results, error) {
+// the paper's normalized figures read. The three systems restore their
+// prewarm checkpoints from cps (see RunWith and PrewarmKeys).
+func RunPair(cfg SystemConfig, spec workload.Spec, scale RunScale, cps *Checkpoints) (Results, error) {
 	sharedSys, err := NewSystem(cfg, spec)
 	if err != nil {
 		return Results{}, err
 	}
-	res := sharedSys.Run(scale)
+	res := sharedSys.RunWith(scale, cps)
 
 	aloneScale := scale
 	aloneScale.WarmupReads = scale.WarmupReads / 4
@@ -720,7 +728,7 @@ func RunPair(cfg SystemConfig, spec workload.Spec, scale RunScale) (Results, err
 	if err != nil {
 		return Results{}, err
 	}
-	alone := baseSys.Run(aloneScale)
+	alone := baseSys.RunWith(aloneScale, cps)
 	if len(alone.IPCs) > 0 && alone.IPCs[0] > 0 {
 		res.Throughput = res.SumIPC / alone.IPCs[0]
 	}
@@ -731,7 +739,7 @@ func RunPair(cfg SystemConfig, spec workload.Spec, scale RunScale) (Results, err
 	if err != nil {
 		return Results{}, err
 	}
-	selfAlone := selfSys.Run(aloneScale)
+	selfAlone := selfSys.RunWith(aloneScale, cps)
 	if len(selfAlone.IPCs) > 0 && selfAlone.IPCs[0] > 0 {
 		res.ThroughputSelf = res.SumIPC / selfAlone.IPCs[0]
 	}

@@ -250,7 +250,7 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestRunPairThroughput(t *testing.T) {
-	r, err := RunPair(Baseline(2), mustSpec(t, "libquantum"), quickScale())
+	r, err := RunPair(Baseline(2), mustSpec(t, "libquantum"), quickScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

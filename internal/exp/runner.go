@@ -80,6 +80,9 @@ type Runner struct {
 	// core.ConfigKey), so configs differing in any behaviour-relevant
 	// field can never alias one memo entry.
 	pool *runpool.Pool[store.RunKey, core.Results]
+	// prewarms holds the prewarm checkpoints of the cells queued or
+	// running on pool, each built once and dropped with its last cell.
+	prewarms *core.Checkpoints
 
 	logMu sync.Mutex
 	done  int
@@ -91,7 +94,8 @@ type Runner struct {
 // NewRunner builds a runner.
 func NewRunner(opts Options) *Runner {
 	opts = opts.withDefaults()
-	return &Runner{Opts: opts, pool: runpool.New[store.RunKey, core.Results](opts.Workers)}
+	return &Runner{Opts: opts, pool: runpool.New[store.RunKey, core.Results](opts.Workers),
+		prewarms: core.NewCheckpoints()}
 }
 
 // Stats reports pool activity: distinct runs submitted/executed and
@@ -99,17 +103,25 @@ func NewRunner(opts Options) *Runner {
 // runs.
 func (r *Runner) Stats() runpool.Stats { return r.pool.Stats() }
 
+// Prewarms reports the runner's prewarm checkpoint counts: replays
+// built, restores that reused one, and checkpoints held now.
+func (r *Runner) Prewarms() core.CheckpointStats { return r.prewarms.Stats() }
+
 // Workers reports the effective parallel run bound.
 func (r *Runner) Workers() int { return r.pool.Workers() }
 
 // Start schedules one cell on the pool and returns its future without
 // waiting. Submitting an already scheduled (or finished) cell joins the
 // existing run, so a grid listing the same cell twice simulates it once.
+// A new cell holds its prewarm checkpoints until it finishes.
 func (r *Runner) Start(c grid.Cell) *runpool.Task[core.Results] {
 	key := c.Key()
-	return r.pool.Submit(key, func() (core.Results, error) {
+	prewarms := c.Prewarms()
+	r.prewarms.Acquire(prewarms...)
+	t, created := r.pool.Submit(key, func() (core.Results, error) {
+		defer r.prewarms.Release(prewarms...)
 		start := time.Now()
-		res, _, err := ReadThrough(r.Opts.Store, key, c, r.logf)
+		res, _, err := ReadThrough(r.Opts.Store, key, c, r.prewarms, r.logf)
 		if err == nil {
 			// Epoch series ride inside stored Results, so warm sweeps
 			// emit the same epoch CSV/JSONL as cold ones.
@@ -118,23 +130,28 @@ func (r *Runner) Start(c grid.Cell) *runpool.Task[core.Results] {
 		}
 		return res, err
 	})
+	if !created {
+		r.prewarms.Release(prewarms...)
+	}
+	return t
 }
 
 // ReadThrough is the one cache-through step every front end runs a
 // cell through: a verified entry for key in st replaces the run, and a
 // miss runs the cell and writes its result back; hit reports a store
-// hit. st may be nil (no durable tier). A failed write is a warning
+// hit. st may be nil (no durable tier). A run restores its prewarm
+// checkpoints from cps (see grid.Cell.Run). A failed write is a warning
 // through logf, never an error, so a flaky or full disk degrades to
 // memory-only memoization. The bare store.ErrDegraded a degraded store
 // fails fast with is not logged: the store hands the cause to exactly
 // one Put, so each degradation warns once.
-func ReadThrough(st store.Interface, key store.RunKey, c grid.Cell, logf func(format string, args ...any)) (res core.Results, hit bool, err error) {
+func ReadThrough(st store.Interface, key store.RunKey, c grid.Cell, cps *core.Checkpoints, logf func(format string, args ...any)) (res core.Results, hit bool, err error) {
 	if st != nil {
 		if res, ok := st.Get(key); ok {
 			return res, true, nil
 		}
 	}
-	if res, err = c.Run(); err != nil || st == nil {
+	if res, err = c.Run(cps); err != nil || st == nil {
 		return res, false, err
 	}
 	if err := st.Put(key, res); err != nil && err != store.ErrDegraded {
@@ -182,11 +199,24 @@ func (r *Runner) progress(cfgName, bench string, d time.Duration) {
 // waiting: figure functions call it up front so the pool can saturate
 // its workers while the collection loop blocks on results in
 // deterministic order. Errors surface when the pair is collected.
+// Pairs go benchmark by benchmark, so about one benchmark per worker
+// holds prewarm checkpoints at a time.
 func (r *Runner) Submit(cfgs ...core.SystemConfig) {
-	for _, cfg := range cfgs {
-		for _, b := range r.Opts.Benchmarks {
-			r.Start(r.cell(cfg, b))
+	for _, b := range r.Opts.Benchmarks {
+		cells := make([]grid.Cell, len(cfgs))
+		var prewarms []core.CheckpointKey
+		for i, cfg := range cfgs {
+			cells[i] = r.cell(cfg, b)
+			prewarms = append(prewarms, cells[i].Prewarms()...)
 		}
+		// Hold the benchmark's checkpoints until every one of its
+		// cells holds them, so a cell that finishes first cannot drop
+		// a checkpoint a later one restores.
+		r.prewarms.Acquire(prewarms...)
+		for _, c := range cells {
+			r.Start(c)
+		}
+		r.prewarms.Release(prewarms...)
 	}
 }
 

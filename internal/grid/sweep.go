@@ -148,12 +148,23 @@ func (c Cell) Key() store.RunKey {
 	return store.RunKey{Cfg: c.Cfg.Key(), Bench: c.Bench, Scale: c.Scale, Pair: c.Pair}
 }
 
+// Prewarms lists the prewarm checkpoints the cell's systems restore
+// (core.PrewarmKeys); none for an unknown benchmark, which fails in Run.
+func (c Cell) Prewarms() []core.CheckpointKey {
+	spec, err := workload.Get(c.Bench)
+	if err != nil {
+		return nil
+	}
+	return core.PrewarmKeys(c.Cfg, spec, c.Scale, c.Pair)
+}
+
 // Run simulates the cell: the shared run plus its stand-alone
-// references when Pair is set, the lone system otherwise. Cfg.Cancel
-// is latched: only a run the simulator actually truncated returns
-// ErrCanceled — a run that finished just before its deadline is a
-// result, not an error.
-func (c Cell) Run() (core.Results, error) {
+// references when Pair is set, the lone system otherwise. Each system
+// restores its prewarm checkpoint from cps (nil: each builds its own).
+// Cfg.Cancel is latched: only a run the simulator actually truncated
+// returns ErrCanceled — a run that finished just before its deadline
+// is a result, not an error.
+func (c Cell) Run(cps *core.Checkpoints) (core.Results, error) {
 	spec, err := workload.Get(c.Bench)
 	if err != nil {
 		return core.Results{}, err
@@ -173,11 +184,11 @@ func (c Cell) Run() (core.Results, error) {
 	}
 	var res core.Results
 	if c.Pair {
-		res, err = core.RunPair(cfg, spec, c.Scale)
+		res, err = core.RunPair(cfg, spec, c.Scale, cps)
 	} else {
 		var sys *core.System
 		if sys, err = core.NewSystem(cfg, spec); err == nil {
-			res = sys.Run(c.Scale)
+			res = sys.RunWith(c.Scale, cps)
 		}
 	}
 	if err != nil {

@@ -95,7 +95,7 @@ func TestCellRunCanceled(t *testing.T) {
 			polls++
 			return polls > 50
 		}
-		if _, err := c.Run(); !errors.Is(err, ErrCanceled) {
+		if _, err := c.Run(nil); !errors.Is(err, ErrCanceled) {
 			t.Errorf("pair=%v: got %v, want ErrCanceled", pair, err)
 		}
 	}
@@ -109,7 +109,7 @@ func TestCellRunDeadlineCanceled(t *testing.T) {
 		c := runCell(t, pair)
 		deadline := time.Now().Add(time.Nanosecond)
 		c.Cfg.Cancel = func() bool { return time.Now().After(deadline) }
-		if _, err := c.Run(); !errors.Is(err, ErrCanceled) {
+		if _, err := c.Run(nil); !errors.Is(err, ErrCanceled) {
 			t.Errorf("pair=%v: got %v, want ErrCanceled", pair, err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestCellRunContextCanceled(t *testing.T) {
 	for _, pair := range []bool{true, false} {
 		c := runCell(t, pair)
 		c.Cfg.Cancel = func() bool { return ctx.Err() != nil }
-		if _, err := c.Run(); !errors.Is(err, ErrCanceled) {
+		if _, err := c.Run(nil); !errors.Is(err, ErrCanceled) {
 			t.Errorf("pair=%v: got %v, want ErrCanceled", pair, err)
 		}
 	}
@@ -134,12 +134,12 @@ func TestCellRunContextCanceled(t *testing.T) {
 func TestCellRunIdleCancelIdentical(t *testing.T) {
 	for _, pair := range []bool{true, false} {
 		c := runCell(t, pair)
-		want, err := c.Run()
+		want, err := c.Run(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.Cfg.Cancel = func() bool { return false }
-		got, err := c.Run()
+		got, err := c.Run(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,14 +53,16 @@ type Stats struct {
 	Panicked int
 }
 
-// Pool runs keyed jobs on at most Workers goroutines.
+// Pool runs keyed jobs on at most Workers goroutines, starting them in
+// the order they were submitted.
 type Pool[K comparable, V any] struct {
 	workers int
-	sem     chan struct{}
 
-	mu    sync.Mutex
-	tasks map[K]*Task[V]
-	stats Stats
+	mu      sync.Mutex
+	tasks   map[K]*Task[V]
+	queue   []func() // submitted jobs not yet started, oldest first
+	running int      // worker goroutines alive
+	stats   Stats
 }
 
 // New builds a pool. workers <= 0 selects runtime.GOMAXPROCS(0).
@@ -70,7 +72,6 @@ func New[K comparable, V any](workers int) *Pool[K, V] {
 	}
 	return &Pool[K, V]{
 		workers: workers,
-		sem:     make(chan struct{}, workers),
 		tasks:   make(map[K]*Task[V]),
 	}
 }
@@ -78,32 +79,50 @@ func New[K comparable, V any](workers int) *Pool[K, V] {
 // Workers reports the pool's concurrency bound.
 func (p *Pool[K, V]) Workers() int { return p.workers }
 
-// Submit schedules fn under key and returns its Task without waiting.
-// If a job with the same key was already submitted, fn is dropped and
-// the existing Task is returned — completed results are memoized for
-// the life of the pool.
-func (p *Pool[K, V]) Submit(key K, fn func() (V, error)) *Task[V] {
+// Submit schedules fn under key and returns its Task without waiting;
+// created reports that this call made the Task. If a job with the same
+// key was already submitted, fn is dropped and the existing Task is
+// returned — completed results are memoized for the life of the pool.
+func (p *Pool[K, V]) Submit(key K, fn func() (V, error)) (t *Task[V], created bool) {
 	p.mu.Lock()
 	if t, ok := p.tasks[key]; ok {
 		p.stats.Deduped++
 		p.mu.Unlock()
-		return t
+		return t, false
 	}
-	t := &Task[V]{done: make(chan struct{})}
+	t = &Task[V]{done: make(chan struct{})}
 	p.tasks[key] = t
 	p.stats.Submitted++
-	p.mu.Unlock()
-
-	go func() {
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
+	p.queue = append(p.queue, func() {
 		t.val, t.err = p.run(fn)
 		p.mu.Lock()
 		p.stats.Executed++
 		p.mu.Unlock()
 		close(t.done)
-	}()
-	return t
+	})
+	if p.running < p.workers {
+		p.running++
+		go p.work()
+	}
+	p.mu.Unlock()
+	return t, true
+}
+
+// work runs queued jobs, oldest first, until the queue is empty.
+func (p *Pool[K, V]) work() {
+	for {
+		p.mu.Lock()
+		if len(p.queue) == 0 {
+			p.running--
+			p.mu.Unlock()
+			return
+		}
+		job := p.queue[0]
+		p.queue[0] = nil
+		p.queue = p.queue[1:]
+		p.mu.Unlock()
+		job()
+	}
 }
 
 // run executes fn, recovering a panic into the task's error. One
@@ -125,7 +144,8 @@ func (p *Pool[K, V]) run(fn func() (V, error)) (val V, err error) {
 // Do is Submit followed by Wait: it blocks until the keyed job (this
 // one or an earlier duplicate) has finished.
 func (p *Pool[K, V]) Do(key K, fn func() (V, error)) (V, error) {
-	return p.Submit(key, fn).Wait()
+	t, _ := p.Submit(key, fn)
+	return t.Wait()
 }
 
 // Stats returns a snapshot of the pool counters.

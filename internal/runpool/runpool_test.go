@@ -63,7 +63,7 @@ func TestDistinctKeysAllRun(t *testing.T) {
 	tasks := make([]*Task[int], 20)
 	for i := range tasks {
 		i := i
-		tasks[i] = p.Submit(i, func() (int, error) { return i * i, nil })
+		tasks[i], _ = p.Submit(i, func() (int, error) { return i * i, nil })
 	}
 	for i, tk := range tasks {
 		v, err := tk.Wait()
@@ -97,7 +97,11 @@ func TestBoundedConcurrency(t *testing.T) {
 	}
 	close(gate)
 	for i := 0; i < 16; i++ {
-		p.Submit(i, nil).Wait() // joins the existing task; nil fn never runs
+		tk, created := p.Submit(i, nil) // joins the existing task; nil fn never runs
+		if created {
+			t.Fatalf("Submit of key %d created a second task", i)
+		}
+		tk.Wait()
 	}
 	if got := peak.Load(); got > workers {
 		t.Fatalf("peak concurrency %d exceeds bound %d", got, workers)
@@ -123,7 +127,7 @@ func TestPanicFailsOnlyItsOwnTask(t *testing.T) {
 	tasks := make([]*Task[int], n)
 	for i := 0; i < n; i++ {
 		i := i
-		tasks[i] = p.Submit(i, func() (int, error) {
+		tasks[i], _ = p.Submit(i, func() (int, error) {
 			if i == bad {
 				panic("injected crash")
 			}
@@ -171,7 +175,10 @@ func TestDefaultWorkers(t *testing.T) {
 func TestDoneNonBlocking(t *testing.T) {
 	p := New[int, int](1)
 	gate := make(chan struct{})
-	tk := p.Submit(1, func() (int, error) { <-gate; return 1, nil })
+	tk, created := p.Submit(1, func() (int, error) { <-gate; return 1, nil })
+	if !created {
+		t.Fatal("first Submit of a key did not create its task")
+	}
 	if tk.Done() {
 		t.Fatal("task reported done before running")
 	}

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"slices"
+
 	"hetsim/internal/cpu"
 	"hetsim/internal/sim"
 )
@@ -85,6 +87,35 @@ func NewGenerator(spec Spec, coreID, nCores int, base uint64, seed uint64) *Gene
 	}
 	g.jump()
 	return g
+}
+
+// Checkpoint returns a copy of g's state for Restore: its RNG, cursor,
+// pending ring and the filled part of its reuse-history ring. The copy
+// is only a restore source; it emits no operations itself.
+func (g *Generator) Checkpoint() *Generator {
+	c := *g
+	rng := *g.rng
+	c.rng = &rng
+	n := g.histPos
+	if g.histFilled {
+		n = len(g.history)
+	}
+	c.history = slices.Clone(g.history[:n])
+	return &c
+}
+
+// Restore sets g, a generator that has emitted nothing, to the state of
+// src, a Checkpoint of a generator built from the same (spec, core,
+// cores, seed). The state is copied, so g shares no storage with src,
+// and src is only read. Ring slots past src's filled part stay zero:
+// nothing reads a slot before remember writes it.
+func (g *Generator) Restore(src *Generator) {
+	rng, hist := g.rng, g.history
+	*g = *src
+	*rng = *src.rng
+	g.rng = rng
+	g.history = hist
+	copy(hist, src.history)
 }
 
 // remember records a touched line for medium-distance reuse.
