@@ -38,6 +38,12 @@ type parRun struct {
 // the serialized epoch stream. It reports failure through parRun.err so
 // it can run off the test goroutine.
 func runObserved(cfg SystemConfig, spec workload.Spec) parRun {
+	return runObservedWith(cfg, spec, RunScale{WarmupReads: 150, MeasureReads: 900,
+		MaxCycles: 20_000_000, EpochInterval: 20_000}, nil)
+}
+
+// runObservedWith is runObserved at scale, prewarmed from cps.
+func runObservedWith(cfg SystemConfig, spec workload.Spec, scale RunScale, cps *Checkpoints) parRun {
 	var out parRun
 	cfg.TraceFn = func(r trace.Record) { out.recs = append(out.recs, r) }
 	sys, err := NewSystem(cfg, spec)
@@ -45,8 +51,7 @@ func runObserved(cfg SystemConfig, spec workload.Spec) parRun {
 		out.err = err
 		return out
 	}
-	out.res = sys.Run(RunScale{WarmupReads: 150, MeasureReads: 900,
-		MaxCycles: 20_000_000, EpochInterval: 20_000})
+	out.res = sys.RunWith(scale, cps)
 	var buf bytes.Buffer
 	if out.res.Epochs != nil {
 		out.err = out.res.Epochs.WriteJSONL(&buf, nil, nil)
