@@ -115,9 +115,15 @@ func (r *Runner) Workers() int { return r.pool.Workers() }
 // existing run, so a grid listing the same cell twice simulates it once.
 // A new cell holds its prewarm checkpoints until it finishes.
 func (r *Runner) Start(c grid.Cell) *runpool.Task[core.Results] {
-	key := c.Key()
 	prewarms := c.Prewarms()
 	r.prewarms.Acquire(prewarms...)
+	return r.start(c, prewarms)
+}
+
+// start is Start for a caller that has acquired prewarms, the keys c
+// holds if it is new; a cell that exists already releases them at once.
+func (r *Runner) start(c grid.Cell, prewarms []core.CheckpointKey) *runpool.Task[core.Results] {
+	key := c.Key()
 	t, created := r.pool.Submit(key, func() (core.Results, error) {
 		defer r.prewarms.Release(prewarms...)
 		start := time.Now()
@@ -203,20 +209,19 @@ func (r *Runner) progress(cfgName, bench string, d time.Duration) {
 // holds prewarm checkpoints at a time.
 func (r *Runner) Submit(cfgs ...core.SystemConfig) {
 	for _, b := range r.Opts.Benchmarks {
+		// Every cell of the benchmark holds its checkpoints before any
+		// starts, so one that finishes first cannot drop a checkpoint a
+		// later one restores.
 		cells := make([]grid.Cell, len(cfgs))
-		var prewarms []core.CheckpointKey
+		prewarms := make([][]core.CheckpointKey, len(cfgs))
 		for i, cfg := range cfgs {
 			cells[i] = r.cell(cfg, b)
-			prewarms = append(prewarms, cells[i].Prewarms()...)
+			prewarms[i] = cells[i].Prewarms()
+			r.prewarms.Acquire(prewarms[i]...)
 		}
-		// Hold the benchmark's checkpoints until every one of its
-		// cells holds them, so a cell that finishes first cannot drop
-		// a checkpoint a later one restores.
-		r.prewarms.Acquire(prewarms...)
-		for _, c := range cells {
-			r.Start(c)
+		for i, c := range cells {
+			r.start(c, prewarms[i])
 		}
-		r.prewarms.Release(prewarms...)
 	}
 }
 
@@ -226,7 +231,9 @@ func (r *Runner) Submit(cfgs ...core.SystemConfig) {
 // may mutate them (slices and epoch series included) without poisoning
 // what later Runs of the same pair observe.
 func (r *Runner) Run(cfg core.SystemConfig, bench string) (core.Results, error) {
-	res, err := r.Start(r.cell(cfg, bench)).Wait()
+	// A cell Submit has not queued runs without shared checkpoints;
+	// for one it has, this skips computing and holding its keys.
+	res, err := r.start(r.cell(cfg, bench), nil).Wait()
 	if err != nil {
 		return res, err
 	}
