@@ -53,7 +53,7 @@ func replay(k CheckpointKey, llc *cache.Cache, gens []*workload.Generator) *Chec
 			}
 			meta := metaValid | uint8(cache.WordIndex(op.Addr))
 			if ev, evicted := llc.Insert(la, op.Store, meta); evicted && ev.Dirty {
-				relayout(ck.placed, ev)
+				relayoutInto(ck.placed, ev)
 			}
 		}
 		ck.gens = append(ck.gens, gen.Checkpoint())

@@ -504,17 +504,17 @@ func (h *Hierarchy) handleL2Eviction(ev cache.Eviction) {
 func (h *Hierarchy) adaptive() bool { return h.split && h.cfg.Placement == PlaceAdaptive }
 
 // relayout applies adaptive placement's re-organization of a line on
-// its way to DRAM (see the relayout function).
+// its way to DRAM (see relayoutInto).
 func (h *Hierarchy) relayout(ev cache.Eviction) {
 	if h.adaptive() {
-		relayout(h.placed, ev)
+		relayoutInto(h.placed, ev)
 	}
 }
 
-// relayout re-organizes a written-back line in the layout placed
+// relayoutInto re-organizes a written-back line in the layout placed
 // (§4.2.5): the predicted critical word becomes the placed word. Lines
 // without a valid prediction keep their current layout.
-func relayout(placed map[uint64]uint8, ev cache.Eviction) {
+func relayoutInto(placed map[uint64]uint8, ev cache.Eviction) {
 	if ev.Meta&metaValid == 0 {
 		return
 	}
