@@ -205,19 +205,28 @@ func (r *Runner) progress(cfgName, bench string, d time.Duration) {
 // waiting: figure functions call it up front so the pool can saturate
 // its workers while the collection loop blocks on results in
 // deterministic order. Errors surface when the pair is collected.
-// Pairs go benchmark by benchmark, so about one benchmark per worker
-// holds prewarm checkpoints at a time.
+//
+// Pairs go a group of Workers benchmarks at a time, config by config
+// within the group. So each worker tends to a benchmark of its own:
+// about one benchmark per worker holds prewarm checkpoints at a time,
+// and a worker rarely waits on a checkpoint another is still building.
 func (r *Runner) Submit(cfgs ...core.SystemConfig) {
-	for _, b := range r.Opts.Benchmarks {
-		// Every cell of the benchmark holds its checkpoints before any
+	benches := r.Opts.Benchmarks
+	for lo := 0; lo < len(benches); lo += r.Workers() {
+		group := benches[lo:min(lo+r.Workers(), len(benches))]
+		// Every cell of the group holds its checkpoints before any
 		// starts, so one that finishes first cannot drop a checkpoint a
 		// later one restores.
-		cells := make([]grid.Cell, len(cfgs))
-		prewarms := make([][]core.CheckpointKey, len(cfgs))
-		for i, cfg := range cfgs {
-			cells[i] = r.cell(cfg, b)
-			prewarms[i] = cells[i].Prewarms()
-			r.prewarms.Acquire(prewarms[i]...)
+		var cells []grid.Cell
+		var prewarms [][]core.CheckpointKey
+		for _, cfg := range cfgs {
+			for _, b := range group {
+				c := r.cell(cfg, b)
+				keys := c.Prewarms()
+				r.prewarms.Acquire(keys...)
+				cells = append(cells, c)
+				prewarms = append(prewarms, keys)
+			}
 		}
 		for i, c := range cells {
 			r.start(c, prewarms[i])
