@@ -34,15 +34,13 @@ type Checkpoint struct {
 	placed map[uint64]uint8
 }
 
-// replay runs k's prewarm in llc and gens, an empty LLC and k's fresh
-// generators, and returns the checkpoint of the state it leaves. It
-// replays k.Ops memory operations per core functionally: no cycles
-// pass, no DRAM traffic is generated, evicted victims vanish. Installed
-// lines carry the critical-word prediction a long history would have
-// left behind, and dirty victims leave the layout their write-backs
-// would have.
-func replay(k CheckpointKey, llc *cache.Cache, gens []*workload.Generator) *Checkpoint {
-	ck := &Checkpoint{placed: map[uint64]uint8{}}
+// warm runs k's prewarm in place in llc and gens, an empty LLC and k's
+// fresh generators. It replays k.Ops memory operations per core
+// functionally: no cycles pass, no DRAM traffic is generated, evicted
+// victims vanish. Installed lines carry the critical-word prediction a
+// long history would have left behind; dirty victims re-lay out placed
+// (nil: no layout is kept) as their write-backs would have.
+func warm(k CheckpointKey, llc *cache.Cache, gens []*workload.Generator, placed map[uint64]uint8) {
 	for _, gen := range gens {
 		for n := uint64(0); n < k.Ops; n++ {
 			op := gen.Next()
@@ -52,13 +50,22 @@ func replay(k CheckpointKey, llc *cache.Cache, gens []*workload.Generator) *Chec
 				continue
 			}
 			meta := metaValid | uint8(cache.WordIndex(op.Addr))
-			if ev, evicted := llc.Insert(la, op.Store, meta); evicted && ev.Dirty {
-				relayoutInto(ck.placed, ev)
+			if ev, evicted := llc.Insert(la, op.Store, meta); evicted && ev.Dirty && placed != nil {
+				relayoutInto(placed, ev)
 			}
 		}
+	}
+}
+
+// replay warms llc and gens with k's prewarm and returns the
+// checkpoint of the state it leaves, copied out of them.
+func replay(k CheckpointKey, llc *cache.Cache, gens []*workload.Generator) *Checkpoint {
+	ck := &Checkpoint{placed: map[uint64]uint8{}}
+	warm(k, llc, gens, ck.placed)
+	ck.llc = llc.Snapshot()
+	for _, gen := range gens {
 		ck.gens = append(ck.gens, gen.Checkpoint())
 	}
-	ck.llc = llc.Snapshot()
 	return ck
 }
 
@@ -67,8 +74,8 @@ func replay(k CheckpointKey, llc *cache.Cache, gens []*workload.Generator) *Chec
 // to the matching Release. While it is held, its checkpoint is built
 // once, by the first system that needs it, and later systems restore
 // it; the last Release drops it. A system needing a key no one holds
-// builds a private checkpoint, and so does every system prewarmed
-// through a nil *Checkpoints.
+// replays in place and keeps no checkpoint, and so does every system
+// prewarmed through a nil *Checkpoints.
 type Checkpoints struct {
 	mu    sync.Mutex
 	held  map[CheckpointKey]*heldCheckpoint
@@ -136,47 +143,47 @@ func (cs *Checkpoints) Stats() CheckpointStats {
 // checkpoint. The first system of a held key builds the checkpoint by
 // replaying in its own LLC and generators, so a build allocates no
 // second machine; later systems restore it. Without a holder, and
-// through a nil set, each system replays for itself. The layout
-// applies only where it exists: a split organization that places
-// adaptively.
+// through a nil set, each system replays in place and copies nothing
+// out. The layout applies only where it exists: a split organization
+// that places adaptively.
 func (cs *Checkpoints) prewarm(k CheckpointKey, s *System) {
-	ck, built := cs.get(k, s)
-	if !built {
-		s.Hier.l2.Restore(ck.llc)
-		for i, g := range s.gens {
-			g.Restore(ck.gens[i])
-		}
-	}
+	var placed map[uint64]uint8
 	if s.Hier.adaptive() {
-		maps.Copy(s.Hier.placed, ck.placed)
+		placed = s.Hier.placed
 	}
-}
-
-// get returns k's checkpoint; built reports that it was replayed in s.
-func (cs *Checkpoints) get(k CheckpointKey, s *System) (ck *Checkpoint, built bool) {
 	var e *heldCheckpoint
 	if cs != nil {
 		cs.mu.Lock()
-		if e = cs.held[k]; e == nil {
+		e = cs.held[k]
+		cs.mu.Unlock()
+	}
+	built := e == nil
+	if built {
+		warm(k, s.Hier.l2, s.gens, placed)
+	} else {
+		e.once.Do(func() {
+			e.ck = replay(k, s.Hier.l2, s.gens)
+			built = true
+		})
+		if !built {
+			s.Hier.l2.Restore(e.ck.llc)
+			for i, g := range s.gens {
+				g.Restore(e.ck.gens[i])
+			}
+		}
+		if placed != nil {
+			maps.Copy(placed, e.ck.placed)
+		}
+	}
+	if cs != nil {
+		cs.mu.Lock()
+		if built {
 			cs.stats.Built++
+		} else {
+			cs.stats.Reused++
 		}
 		cs.mu.Unlock()
 	}
-	if e == nil {
-		return replay(k, s.Hier.l2, s.gens), true
-	}
-	e.once.Do(func() {
-		e.ck = replay(k, s.Hier.l2, s.gens)
-		built = true
-	})
-	cs.mu.Lock()
-	if built {
-		cs.stats.Built++
-	} else {
-		cs.stats.Reused++
-	}
-	cs.mu.Unlock()
-	return e.ck, built
 }
 
 // PrewarmKeys lists the checkpoints a run of cfg on spec at scale

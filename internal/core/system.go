@@ -418,8 +418,8 @@ func (r Results) Clone() Results {
 func (s *System) Run(scale RunScale) Results { return s.RunWith(scale, nil) }
 
 // RunWith is Run with the prewarm checkpoint restored from cps, built
-// there by the first system that needs it; a nil cps builds a private
-// one. A later Run resumes the machine as the last one left it, so only
+// there by the first system that needs it; through a nil cps the
+// system replays its prewarm in place. A later Run resumes the machine as the last one left it, so only
 // the first restores a checkpoint.
 func (s *System) RunWith(scale RunScale, cps *Checkpoints) Results {
 	if !s.started {

@@ -160,7 +160,7 @@ func (c Cell) Prewarms() []core.CheckpointKey {
 
 // Run simulates the cell: the shared run plus its stand-alone
 // references when Pair is set, the lone system otherwise. Each system
-// restores its prewarm checkpoint from cps (nil: each builds its own).
+// restores its prewarm checkpoint from cps (nil: each replays its own).
 // Cfg.Cancel is latched: only a run the simulator actually truncated
 // returns ErrCanceled — a run that finished just before its deadline
 // is a result, not an error.
