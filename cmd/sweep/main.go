@@ -129,19 +129,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	defer cw.Flush()
 
 	// Fan the grid's runs across the runner, which reads each through
-	// the store; collecting re-Starts a cell and joins its run, so a
-	// cell listed twice is simulated once.
+	// the store; a cell listed twice joins its first run, so it is
+	// simulated once.
 	runner := exp.NewRunner(exp.Options{Workers: *workers, Store: cache})
-	for _, c := range cells {
-		runner.Start(c)
-	}
+	tasks := runner.Start(nil, cells...)
 
 	// Collect rows and epoch series in grid order, so both are
 	// byte-identical at any -j; epoch files are written after the grid
 	// completes.
 	var epochs []telemetry.Run
 	for i, c := range cells {
-		res, err := runner.Start(c).Wait()
+		res, err := tasks[i].Wait()
 		if err != nil {
 			return err
 		}

@@ -18,19 +18,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hetsim"
+	"hetsim/internal/core"
 	"hetsim/internal/exp"
 	"hetsim/internal/grid"
 	"hetsim/internal/lease"
-	"hetsim/internal/runpool"
 	"hetsim/internal/store"
 )
 
-// cell is one grid point and its progress. key caches Cell.Key: it is
-// the pool, lease and store address of the cell.
+// cell is one grid point and its progress.
 type cell struct {
 	grid.Cell
-	key store.RunKey
 
 	mu     sync.Mutex
 	state  string // "pending" | "done" | "failed" | "poisoned"
@@ -101,17 +98,17 @@ type Options struct {
 	HoldCellForTest time.Duration
 }
 
-// Server shards sweep cells across a runpool, with the durable store
-// as a second memo tier and per-cell leases as the cross-process
-// arbiter. Identical cells — within one job, across jobs, or across N
-// worker processes sharing one store — are simulated once per failure,
-// and at most once ever while the store directory survives.
+// Server runs sweep cells on an exp.Runner, with the durable store as
+// a second memo tier and per-cell leases as the cross-process arbiter.
+// Identical cells — within one job, across jobs, or across N worker
+// processes sharing one store — are simulated once per failure, and at
+// most once ever while the store directory survives.
 type Server struct {
 	opts   Options
 	cache  store.Interface
 	disk   *store.Store // nil when Cache was injected and is not a *store.Store
 	leases *lease.Manager
-	pool   *runpool.Pool[string, hetsim.Results]
+	runner *exp.Runner // the one pool: joins cells by store.RunKey, shares prewarms
 
 	closed    atomic.Bool
 	aborting  atomic.Bool // drain deadline passed: truncate in-flight runs
@@ -188,7 +185,7 @@ func NewServer(opts Options) (*Server, error) {
 		cache:   cache,
 		disk:    disk,
 		leases:  leases,
-		pool:    runpool.New[string, hetsim.Results](opts.Workers),
+		runner:  exp.NewRunner(exp.Options{Workers: opts.Workers}),
 		drainCh: make(chan struct{}),
 		jobs:    map[string]*job{},
 		scanned: map[string]time.Time{},
@@ -315,13 +312,14 @@ func (s *Server) Drain(ctx context.Context) error {
 // Close drains with no deadline: every in-flight cell finishes.
 func (s *Server) Close() { s.Drain(context.Background()) }
 
-// submit registers the job (idempotently) and fans its cells across
-// the pool. Cells are enqueued in a per-worker deterministic shuffle —
-// seeded by (owner, job ID) — so N workers sharing a store start from
-// different corners of the grid and divide it by lease contention
-// instead of colliding cell by cell in the same order. The job's Cells
-// slice keeps grid order, so results.csv is identical however many
-// workers raced.
+// submit registers the job (idempotently) and starts its cells on the
+// runner, each through runLeased. Cells start in a per-worker
+// deterministic shuffle — seeded by (owner, job ID) — so N workers
+// sharing a store start from different corners of the grid and divide
+// it by lease contention instead of colliding cell by cell in the same
+// order. The job's Cells slice keeps grid order, so results.csv is
+// identical however many workers raced. A cell another job has started
+// joins that run.
 func (s *Server) submit(spec grid.Sweep) (*job, error) {
 	spec = spec.Normalize()
 	points, err := spec.Cells()
@@ -330,7 +328,7 @@ func (s *Server) submit(spec grid.Sweep) (*job, error) {
 	}
 	cells := make([]*cell, len(points))
 	for i, c := range points {
-		cells[i] = &cell{Cell: c, key: c.Key(), state: "pending"}
+		cells[i] = &cell{Cell: c, state: "pending"}
 	}
 	id := spec.ID()
 
@@ -348,8 +346,18 @@ func (s *Server) submit(spec grid.Sweep) (*job, error) {
 		return nil, err
 	}
 	order := rand.New(rand.NewSource(lease.Seed(s.leases.Owner(), id))).Perm(len(j.Cells))
-	for _, i := range order {
-		s.enqueue(j, j.Cells[i])
+	shuffled := make([]grid.Cell, len(order))
+	for k, i := range order {
+		shuffled[k] = j.Cells[i].Cell
+	}
+	s.wg.Add(len(order))
+	for k, t := range s.runner.Start(s.runLeased, shuffled...) {
+		c := j.Cells[order[k]]
+		go func() {
+			defer s.wg.Done()
+			res, err := t.Wait()
+			s.complete(j, c, res, err)
+		}()
 	}
 	return j, nil
 }
@@ -383,20 +391,6 @@ func (s *Server) checkpoint(j *job) error {
 	return nil
 }
 
-// enqueue runs one cell through the leased pipeline. Cells are keyed
-// by their store hash, so overlapping jobs join the same in-flight run
-// instead of repeating it.
-func (s *Server) enqueue(j *job, c *cell) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		res, err := s.pool.Do(c.key.Hash(), func() (hetsim.Results, error) {
-			return s.runLeased(c)
-		})
-		s.complete(j, c, res, err)
-	}()
-}
-
 // sleep waits d unless the server starts draining first, reporting
 // whether the full wait elapsed.
 func (s *Server) sleep(d time.Duration) bool {
@@ -410,8 +404,8 @@ func (s *Server) sleep(d time.Duration) bool {
 	}
 }
 
-// runLeased is the per-cell state machine tying every robustness
-// mechanism together:
+// runLeased is the runner's step for sweepd cells: the per-cell state
+// machine tying every robustness mechanism together:
 //
 //	store hit → done (restored)
 //	lease held elsewhere → back off (capped exponential, seeded
@@ -428,27 +422,27 @@ func (s *Server) sleep(d time.Duration) bool {
 // Backoff sleeps happen while holding a pool slot — acceptable because
 // contention means another process is doing the cell's work, so this
 // worker's slot has nothing better to run that isn't also contended.
-func (s *Server) runLeased(c *cell) (hetsim.Results, error) {
-	hash := c.key.Hash()
+func (s *Server) runLeased(key store.RunKey, c grid.Cell, cps *core.Checkpoints) (core.Results, error) {
+	hash := key.Hash()
 	bo := lease.NewBackoff(0, 0, lease.Seed(s.leases.Owner(), hash))
 	attempts := 0
 	for {
 		if s.closed.Load() {
-			return hetsim.Results{}, errClosed
+			return core.Results{}, errClosed
 		}
-		if res, ok := s.cache.Get(c.key); ok {
+		if res, ok := s.cache.Get(key); ok {
 			s.restored.Add(1)
 			return res, nil
 		}
 		ls, err := s.leases.TryAcquire(hash)
 		if errors.Is(err, lease.ErrHeld) {
 			if !s.sleep(bo.Next()) {
-				return hetsim.Results{}, errClosed
+				return core.Results{}, errClosed
 			}
 			continue
 		}
 		if err != nil {
-			return hetsim.Results{}, err
+			return core.Results{}, err
 		}
 		// The step re-checks the store under the lease: a holder that
 		// finished since our store read shows up as a hit.
@@ -457,7 +451,7 @@ func (s *Server) runLeased(c *cell) (hetsim.Results, error) {
 		if hold := s.opts.HoldCellForTest; hold > 0 {
 			s.sleep(hold)
 		}
-		res, hit, runErr := s.runCell(c)
+		res, hit, runErr := s.runCell(key, c, cps)
 		close(stop)
 		select {
 		case <-lost:
@@ -482,16 +476,16 @@ func (s *Server) runLeased(c *cell) (hetsim.Results, error) {
 		if s.closed.Load() {
 			// A drain-aborted run is a shutdown, not a strike against
 			// the cell.
-			return hetsim.Results{}, errClosed
+			return core.Results{}, errClosed
 		}
 		attempts++
 		if attempts >= s.opts.CellAttempts {
-			return hetsim.Results{}, fmt.Errorf("%w after %d attempts: %v", errPoisoned, attempts, runErr)
+			return core.Results{}, fmt.Errorf("%w after %d attempts: %v", errPoisoned, attempts, runErr)
 		}
 		s.logf("cell %s attempt %d/%d failed, backing off: %v",
 			hash[:12], attempts, s.opts.CellAttempts, runErr)
 		if !s.sleep(bo.Next()) {
-			return hetsim.Results{}, errClosed
+			return core.Results{}, errClosed
 		}
 	}
 }
@@ -499,8 +493,7 @@ func (s *Server) runLeased(c *cell) (hetsim.Results, error) {
 // runCell runs the cell through the read-through step, with the cell
 // deadline and the drain-abort flag folded into one polled cancel
 // hook, which Cell.Run latches. hit reports a store hit.
-func (s *Server) runCell(c *cell) (res hetsim.Results, hit bool, err error) {
-	run := c.Cell
+func (s *Server) runCell(key store.RunKey, run grid.Cell, cps *core.Checkpoints) (res core.Results, hit bool, err error) {
 	var deadline time.Time
 	if s.opts.CellTimeout > 0 {
 		deadline = time.Now().Add(s.opts.CellTimeout)
@@ -508,12 +501,12 @@ func (s *Server) runCell(c *cell) (res hetsim.Results, hit bool, err error) {
 	run.Cfg.Cancel = func() bool {
 		return s.aborting.Load() || (!deadline.IsZero() && time.Now().After(deadline))
 	}
-	res, hit, err = exp.ReadThrough(s.cache, c.key, run, nil, s.logf)
+	res, hit, err = exp.ReadThrough(s.cache, key, run, cps, s.logf)
 	if errors.Is(err, grid.ErrCanceled) {
 		if s.aborting.Load() {
-			return hetsim.Results{}, false, fmt.Errorf("sweepd: run aborted by drain deadline")
+			return core.Results{}, false, fmt.Errorf("sweepd: run aborted by drain deadline")
 		}
-		return hetsim.Results{}, false, fmt.Errorf("sweepd: run exceeded cell deadline %v", s.opts.CellTimeout)
+		return core.Results{}, false, fmt.Errorf("sweepd: run exceeded cell deadline %v", s.opts.CellTimeout)
 	}
 	return res, hit, err
 }
@@ -525,7 +518,7 @@ func (s *Server) logf(format string, args ...any) {
 
 // complete records the finished cell and publishes its epoch series to
 // any live /epochs streams.
-func (s *Server) complete(j *job, c *cell, res hetsim.Results, err error) {
+func (s *Server) complete(j *job, c *cell, res core.Results, err error) {
 	state := "done"
 	if err != nil {
 		state = "failed"

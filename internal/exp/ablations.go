@@ -102,7 +102,7 @@ func PagePlacement(r *Runner) (PagePlacementResult, error) {
 		}
 		hot := ProfileHotPages(spec, r.Opts.NCores, r.Opts.Seed, 50_000)
 		cfgs[b] = core.PagePlaced(0, hot)
-		r.Start(r.cell(cfgs[b], b))
+		r.Start(nil, r.cell(cfgs[b], b))
 	}
 	var vals, selfVals []float64
 	for _, b := range r.Opts.Benchmarks {

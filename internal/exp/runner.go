@@ -110,22 +110,40 @@ func (r *Runner) Prewarms() core.CheckpointStats { return r.prewarms.Stats() }
 // Workers reports the effective parallel run bound.
 func (r *Runner) Workers() int { return r.pool.Workers() }
 
-// Start schedules one cell on the pool and returns its future without
-// waiting. Submitting an already scheduled (or finished) cell joins the
-// existing run, so a grid listing the same cell twice simulates it once.
-// A new cell holds its prewarm checkpoints until it finishes.
-func (r *Runner) Start(c grid.Cell) *runpool.Task[core.Results] {
-	prewarms := c.Prewarms()
-	r.prewarms.Acquire(prewarms...)
-	return r.start(c, prewarms)
+// Step computes the Results of cell c, whose store key is key,
+// restoring its prewarm checkpoints from cps.
+type Step func(key store.RunKey, c grid.Cell, cps *core.Checkpoints) (core.Results, error)
+
+// Start schedules cells on the pool in order and returns their futures
+// without waiting; step runs each new cell (nil: ReadThrough on
+// Opts.Store). A cell already scheduled or finished joins that run.
+// Every cell holds its prewarm checkpoints before any starts, so one
+// that finishes first cannot drop a checkpoint a later one restores.
+func (r *Runner) Start(step Step, cells ...grid.Cell) []*runpool.Task[core.Results] {
+	prewarms := make([][]core.CheckpointKey, len(cells))
+	for i, c := range cells {
+		prewarms[i] = c.Prewarms()
+		r.prewarms.Acquire(prewarms[i]...)
+	}
+	tasks := make([]*runpool.Task[core.Results], len(cells))
+	for i, c := range cells {
+		key := c.Key()
+		var created bool
+		tasks[i], created = r.pool.Submit(key, r.task(step, key, c, prewarms[i]))
+		if !created {
+			r.prewarms.Release(prewarms[i]...)
+		}
+	}
+	return tasks
 }
 
-// start is Start for a caller that has acquired prewarms, the keys c
-// holds if it is new; a cell that exists already releases them at once.
-func (r *Runner) start(c grid.Cell, prewarms []core.CheckpointKey) *runpool.Task[core.Results] {
-	key := c.Key()
-	t, created := r.pool.Submit(key, func() (core.Results, error) {
+// task is the pool job that runs c through step, then releases prewarms.
+func (r *Runner) task(step Step, key store.RunKey, c grid.Cell, prewarms []core.CheckpointKey) func() (core.Results, error) {
+	return func() (core.Results, error) {
 		defer r.prewarms.Release(prewarms...)
+		if step != nil {
+			return step(key, c, r.prewarms)
+		}
 		start := time.Now()
 		res, _, err := ReadThrough(r.Opts.Store, key, c, r.prewarms, r.logf)
 		if err == nil {
@@ -135,11 +153,7 @@ func (r *Runner) start(c grid.Cell, prewarms []core.CheckpointKey) *runpool.Task
 			r.progress(c.Cfg.Name, c.Bench, time.Since(start))
 		}
 		return res, err
-	})
-	if !created {
-		r.prewarms.Release(prewarms...)
 	}
-	return t
 }
 
 // ReadThrough is the one cache-through step every front end runs a
@@ -214,23 +228,13 @@ func (r *Runner) Submit(cfgs ...core.SystemConfig) {
 	benches := r.Opts.Benchmarks
 	for lo := 0; lo < len(benches); lo += r.Workers() {
 		group := benches[lo:min(lo+r.Workers(), len(benches))]
-		// Every cell of the group holds its checkpoints before any
-		// starts, so one that finishes first cannot drop a checkpoint a
-		// later one restores.
 		var cells []grid.Cell
-		var prewarms [][]core.CheckpointKey
 		for _, cfg := range cfgs {
 			for _, b := range group {
-				c := r.cell(cfg, b)
-				keys := c.Prewarms()
-				r.prewarms.Acquire(keys...)
-				cells = append(cells, c)
-				prewarms = append(prewarms, keys)
+				cells = append(cells, r.cell(cfg, b))
 			}
 		}
-		for i, c := range cells {
-			r.start(c, prewarms[i])
-		}
+		r.Start(nil, cells...)
 	}
 }
 
@@ -242,7 +246,10 @@ func (r *Runner) Submit(cfgs ...core.SystemConfig) {
 func (r *Runner) Run(cfg core.SystemConfig, bench string) (core.Results, error) {
 	// A cell Submit has not queued runs without shared checkpoints;
 	// for one it has, this skips computing and holding its keys.
-	res, err := r.start(r.cell(cfg, bench), nil).Wait()
+	c := r.cell(cfg, bench)
+	key := c.Key()
+	t, _ := r.pool.Submit(key, r.task(nil, key, c, nil))
+	res, err := t.Wait()
 	if err != nil {
 		return res, err
 	}

@@ -141,13 +141,6 @@ func (p *Pool[K, V]) run(fn func() (V, error)) (val V, err error) {
 	return fn()
 }
 
-// Do is Submit followed by Wait: it blocks until the keyed job (this
-// one or an earlier duplicate) has finished.
-func (p *Pool[K, V]) Do(key K, fn func() (V, error)) (V, error) {
-	t, _ := p.Submit(key, fn)
-	return t.Wait()
-}
-
 // Stats returns a snapshot of the pool counters.
 func (p *Pool[K, V]) Stats() Stats {
 	p.mu.Lock()

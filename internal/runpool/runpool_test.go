@@ -20,9 +20,10 @@ func TestDedupSameKey(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := p.Do("k", fn)
+			tk, _ := p.Submit("k", fn)
+			v, err := tk.Wait()
 			if err != nil || v != 42 {
-				t.Errorf("Do = %v, %v", v, err)
+				t.Errorf("Wait = %v, %v", v, err)
 			}
 		}()
 	}
@@ -45,12 +46,14 @@ func TestMemoizesCompletedRuns(t *testing.T) {
 			return s, nil
 		}
 	}
-	if v, _ := p.Do(1, mk("first")); v != "first" {
+	tk, _ := p.Submit(1, mk("first"))
+	if v, _ := tk.Wait(); v != "first" {
 		t.Fatalf("v = %q", v)
 	}
 	// A later submit of the same key must return the memoized result,
 	// never run the (different) function.
-	if v, _ := p.Do(1, mk("second")); v != "first" {
+	tk, _ = p.Submit(1, mk("second"))
+	if v, _ := tk.Wait(); v != "first" {
 		t.Fatalf("resubmit returned %q, want memoized \"first\"", v)
 	}
 	if calls.Load() != 1 {
@@ -111,11 +114,13 @@ func TestBoundedConcurrency(t *testing.T) {
 func TestErrorPropagates(t *testing.T) {
 	p := New[string, int](1)
 	boom := errors.New("boom")
-	if _, err := p.Do("e", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
+	tk, _ := p.Submit("e", func() (int, error) { return 0, boom })
+	if _, err := tk.Wait(); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	// The error is memoized like any result.
-	if _, err := p.Do("e", func() (int, error) { return 7, nil }); !errors.Is(err, boom) {
+	tk, _ = p.Submit("e", func() (int, error) { return 7, nil })
+	if _, err := tk.Wait(); !errors.Is(err, boom) {
 		t.Fatalf("resubmit err = %v, want memoized boom", err)
 	}
 }
@@ -157,7 +162,8 @@ func TestPanicFailsOnlyItsOwnTask(t *testing.T) {
 		t.Fatalf("stats = %+v, want Panicked=1 Executed=%d", st, n)
 	}
 	// The panic error is memoized like any other error.
-	if _, err := p.Do(bad, func() (int, error) { return 1, nil }); err == nil {
+	tk, _ := p.Submit(bad, func() (int, error) { return 1, nil })
+	if _, err := tk.Wait(); err == nil {
 		t.Fatal("resubmitted key lost its memoized panic error")
 	}
 }
@@ -167,8 +173,9 @@ func TestDefaultWorkers(t *testing.T) {
 	if p.Workers() <= 0 {
 		t.Fatalf("workers = %d", p.Workers())
 	}
-	if v, err := p.Do(1, func() (int, error) { return 5, nil }); v != 5 || err != nil {
-		t.Fatalf("Do = %v, %v", v, err)
+	tk, _ := p.Submit(1, func() (int, error) { return 5, nil })
+	if v, err := tk.Wait(); v != 5 || err != nil {
+		t.Fatalf("Wait = %v, %v", v, err)
 	}
 }
 
