@@ -150,13 +150,12 @@ type Controller struct {
 	// Tick-skipping session state. A session starts at kick() and ends
 	// when the controller parks. anchor is the session's first tick:
 	// all session ticks land on the grid anchor+k*busCycle, mirroring
-	// the cycles the per-cycle reference would tick at. sessPhase
-	// orders this session's ticks against other controllers' same-cycle
-	// ticks (engine phase lane) and invalidates stale tick events from
-	// superseded arming; nextTickAt is the earliest armed tick.
-	anchor     sim.Cycle
-	nextTickAt sim.Cycle
-	sessPhase  uint64
+	// the cycles the per-cycle reference would tick at. tickT is the
+	// engine timer that holds the session's next tick; sessPhase orders
+	// it against other controllers' same-cycle ticks.
+	anchor    sim.Cycle
+	tickT     sim.Timer
+	sessPhase uint64
 
 	// Scan scratch. nextReady accumulates the minimum next-actionable
 	// cycle reported by failed timing probes during one tick; scanNow
@@ -186,15 +185,11 @@ type Controller struct {
 	Stats Stat
 }
 
-// tickDispatch adapts the scheduling step to the engine's handler
-// interfaces: OnEvent for the per-cycle reference mode (normal event
-// lane) and OnPhasedEvent for tick-skipping sessions (phase lane, with
-// stale-event filtering).
+// tickDispatch runs the scheduling step, from a heap event in the
+// per-cycle reference mode and from the tick timer otherwise.
 type tickDispatch struct{ c *Controller }
 
 func (d tickDispatch) OnEvent(any) { d.c.tick() }
-
-func (d tickDispatch) OnPhasedEvent(_ any, phase uint64) { d.c.phasedTick(phase) }
 
 // maintDispatch runs the deferred refresh-maintenance check.
 type maintDispatch struct{ c *Controller }
@@ -253,6 +248,7 @@ func New(eng *sim.Engine, ch *dram.Channel, cfg Config) *Controller {
 	c.rdq.init(nBanks)
 	c.wrq.init(nBanks)
 	c.tickH = tickDispatch{c}
+	c.tickT = eng.NewTimer(c.tickH)
 	c.maintH = maintDispatch{c}
 	c.sleepH = sleepDispatch{c}
 	c.compH = completeDispatch{c}
@@ -357,7 +353,7 @@ func (c *Controller) kick() {
 		} else {
 			g = c.gridUp(now + 1)
 		}
-		if g < c.nextTickAt {
+		if at, _ := c.Eng.TimerAt(c.tickT); g < at {
 			c.armTick(g)
 		}
 		return
@@ -381,23 +377,10 @@ func (c *Controller) gridUp(t sim.Cycle) sim.Cycle {
 	return c.anchor + d
 }
 
-// armTick schedules a session tick at cycle at (a grid cycle) and makes
-// it the session's live tick. Previously armed events for later cycles
-// are left in the queue and discarded by the phase/time guard when they
-// fire.
+// armTick moves the session's tick to cycle at (a grid cycle). A tick
+// that parks the session re-arms nothing, which leaves the timer unarmed.
 func (c *Controller) armTick(at sim.Cycle) {
-	c.nextTickAt = at
-	c.Eng.SchedulePhasedAt(at, c.sessPhase, c.tickH, nil)
-}
-
-// phasedTick filters stale tick events: only the live arming of the
-// live session runs. Everything else — ticks armed by a parked session,
-// or armings superseded by an earlier pull — drops here.
-func (c *Controller) phasedTick(phase uint64) {
-	if !c.ticking || phase != c.sessPhase || c.Eng.Now() != c.nextTickAt {
-		return
-	}
-	c.tick()
+	c.Eng.ArmTimer(c.tickT, at, c.sessPhase)
 }
 
 // hint folds a next-actionable-cycle report from a failed timing probe

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -267,85 +268,133 @@ func TestNegativeDelayPanics(t *testing.T) {
 	e.ScheduleEvent(-1, &nopHandler{}, nil)
 }
 
-// phasedRecorder implements PhasedHandler, appending labels to a log.
-type phasedRecorder struct {
-	log   *[]string
-	label string
+// logTimer registers a timer whose handler appends label to log and
+// then runs then (if set).
+func logTimer(e *Engine, log *[]string, label string, then func()) Timer {
+	return e.NewTimer(call(func() {
+		*log = append(*log, label)
+		if then != nil {
+			then()
+		}
+	}))
 }
 
-func (p phasedRecorder) OnEvent(arg any) {}
-
-func (p phasedRecorder) OnPhasedEvent(arg any, phase uint64) {
-	*p.log = append(*p.log, p.label)
+func wantLog(t *testing.T, got []string, want ...string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
 }
 
-func TestPhasedEventsRunAfterNormal(t *testing.T) {
+// TestTimersRunAfterHeapEvents: at one cycle every heap event runs
+// before any timer, a heap event a timer schedules for its own cycle
+// included, and timers run in ascending phase whatever their arming
+// order.
+func TestTimersRunAfterHeapEvents(t *testing.T) {
 	var eng Engine
 	var log []string
 	pa, pb := eng.NewPhase(), eng.NewPhase()
 	if pa == 0 || pb <= pa {
 		t.Fatalf("NewPhase not increasing: %d, %d", pa, pb)
 	}
-	// Schedule in an order adversarial to the desired firing order:
-	// higher phase first, then lower, then normal events last.
-	eng.SchedulePhasedAt(10, pb, phasedRecorder{&log, "phaseB"}, nil)
-	eng.SchedulePhasedAt(10, pa, phasedRecorder{&log, "phaseA2"}, nil)
-	eng.SchedulePhasedAt(10, pa, phasedRecorder{&log, "phaseA1"}, nil)
+	tb := logTimer(&eng, &log, "timerB", nil)
+	ta := logTimer(&eng, &log, "timerA", func() {
+		eng.ScheduleEvent(0, call(func() { log = append(log, "from-timerA") }), nil)
+	})
+	// Armed in an order adversarial to the firing order: the later
+	// phase first, the heap events last.
+	eng.ArmTimer(tb, 10, pb)
+	eng.ArmTimer(ta, 10, pa)
 	eng.ScheduleEvent(10, call(func() { log = append(log, "normal1") }), nil)
 	eng.ScheduleEvent(10, call(func() {
 		log = append(log, "normal2")
-		// A normal event scheduled from inside dispatch at the same
-		// cycle still precedes every phased event.
 		eng.ScheduleEvent(0, call(func() { log = append(log, "normal3") }), nil)
 	}), nil)
-	// A later cycle's normal event must not interleave.
 	eng.ScheduleEvent(11, call(func() { log = append(log, "next-cycle") }), nil)
 	eng.RunUntil(20)
-	want := []string{"normal1", "normal2", "normal3", "phaseA2", "phaseA1", "phaseB", "next-cycle"}
-	if len(log) != len(want) {
-		t.Fatalf("fired %v, want %v", log, want)
-	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("fired %v, want %v", log, want)
-		}
+	wantLog(t, log, "normal1", "normal2", "normal3", "timerA", "from-timerA", "timerB", "next-cycle")
+	if eng.EventsFired() != 7 {
+		t.Fatalf("EventsFired = %d, want 7 (timer dispatches count)", eng.EventsFired())
 	}
 }
 
-func TestPhasedOrderAcrossPushOrder(t *testing.T) {
-	// Phase order must dominate push order at a shared cycle: a session
-	// that armed its tick long ago and one that armed it just now still
-	// fire in phase order.
+// TestTimerPhaseDominatesArmingOrder: a session that armed its timer
+// long ago and one that armed it just now still fire in phase order.
+func TestTimerPhaseDominatesArmingOrder(t *testing.T) {
 	var eng Engine
 	var log []string
 	p1, p2 := eng.NewPhase(), eng.NewPhase()
-	eng.SchedulePhasedAt(100, p2, phasedRecorder{&log, "late-session"}, nil)
-	eng.ScheduleEvent(50, call(func() {
-		eng.SchedulePhasedAt(100, p1, phasedRecorder{&log, "early-session"}, nil)
-	}), nil)
+	early := logTimer(&eng, &log, "early-session", nil)
+	late := logTimer(&eng, &log, "late-session", nil)
+	eng.ArmTimer(late, 100, p2)
+	eng.ScheduleEvent(50, call(func() { eng.ArmTimer(early, 100, p1) }), nil)
 	eng.RunUntil(200)
-	if len(log) != 2 || log[0] != "early-session" || log[1] != "late-session" {
-		t.Fatalf("fired %v, want early-session before late-session", log)
+	wantLog(t, log, "early-session", "late-session")
+}
+
+// TestTimerRearm: re-arming moves a timer earlier or later, a stopped
+// timer never runs, a superseded arming never runs, and a timer is
+// unarmed once it has run unless its handler re-armed it.
+func TestTimerRearm(t *testing.T) {
+	var eng Engine
+	var log []string
+	at := func(label string) string { return label + "@" + strconv.Itoa(int(eng.Now())) }
+	var self Timer
+	n := 0
+	self = eng.NewTimer(call(func() {
+		log = append(log, at("self"))
+		if n++; n < 3 {
+			eng.ArmTimer(self, eng.Now()+5, 0)
+		}
+	}))
+	moved := eng.NewTimer(call(func() { log = append(log, at("moved")) }))
+	stopped := eng.NewTimer(call(func() { log = append(log, at("stopped")) }))
+	if _, ok := eng.TimerAt(moved); ok {
+		t.Fatal("a new timer reads as armed")
+	}
+	eng.ArmTimer(self, 10, 0)
+	eng.ArmTimer(moved, 40, 0)
+	eng.ArmTimer(moved, 12, 0) // earlier
+	eng.ArmTimer(moved, 30, 0) // later
+	eng.ArmTimer(stopped, 20, 0)
+	eng.StopTimer(stopped)
+	if when, ok := eng.TimerAt(moved); !ok || when != 30 {
+		t.Fatalf("TimerAt(moved) = %d, %v; want 30, true", when, ok)
+	}
+	if next, ok := eng.PeekNext(); !ok || next != 10 {
+		t.Fatalf("PeekNext = %d, %v; want 10, true", next, ok)
+	}
+	eng.RunUntil(100)
+	wantLog(t, log, "self@10", "self@15", "self@20", "moved@30")
+	for _, tm := range []Timer{self, moved, stopped} {
+		if _, ok := eng.TimerAt(tm); ok {
+			t.Fatalf("timer %d still armed after running", tm)
+		}
+	}
+	if _, ok := eng.PeekNext(); ok {
+		t.Fatal("PeekNext reports work with every timer unarmed")
+	}
+	if eng.EventsFired() != 4 {
+		t.Fatalf("EventsFired = %d, want 4", eng.EventsFired())
 	}
 }
 
-func TestSchedulePhasedPanics(t *testing.T) {
+// TestTimerArmPastPanics: arming a timer before Now is a model bug.
+func TestTimerArmPastPanics(t *testing.T) {
 	var eng Engine
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("zero phase", func() {
-		eng.SchedulePhasedAt(5, 0, phasedRecorder{}, nil)
-	})
+	tm := eng.NewTimer(&nopHandler{})
 	eng.RunUntil(10)
-	mustPanic("past cycle", func() {
-		eng.SchedulePhasedAt(5, eng.NewPhase(), phasedRecorder{}, nil)
-	})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ArmTimer in the past did not panic")
+		}
+	}()
+	eng.ArmTimer(tm, 5, 0)
 }
 
 func TestInDispatch(t *testing.T) {

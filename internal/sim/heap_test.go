@@ -8,77 +8,162 @@ import (
 	"testing/quick"
 )
 
-// refModel is a trivially correct priority queue: a slice kept sorted by
-// the (when, phase, seq) key, compared field by field here rather than
-// through event.before so the model does not share the heap's ordering
-// code. The heap must pop exactly this order.
+// refModel is a trivially correct model of the engine's queue: heap
+// events in a slice kept sorted by (when, seq), and timer slots in a
+// plain slice scanned for the earliest (when, phase, slot). It shares no
+// ordering code with the engine. At one cycle a heap event goes before
+// any timer.
 type refModel struct {
-	events []event
+	events []refEvent
+	timers []refTimer
 }
 
-func refLess(a, b *event) bool {
-	ka := [3]uint64{uint64(a.when), a.phase, a.seq}
-	kb := [3]uint64{uint64(b.when), b.phase, b.seq}
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return ka[i] < kb[i]
-		}
-	}
-	return false
+type refEvent struct {
+	when Cycle
+	seq  uint64
 }
 
-func (m *refModel) push(ev event) {
-	i := sort.Search(len(m.events), func(i int) bool { return refLess(&ev, &m.events[i]) })
-	m.events = append(m.events, event{})
+type refTimer struct {
+	when  Cycle
+	phase uint64
+	armed bool
+}
+
+func (m *refModel) push(ev refEvent) {
+	i := sort.Search(len(m.events), func(i int) bool {
+		o := m.events[i]
+		return ev.when < o.when || (ev.when == o.when && ev.seq < o.seq)
+	})
+	m.events = append(m.events, refEvent{})
 	copy(m.events[i+1:], m.events[i:])
 	m.events[i] = ev
 }
 
-func (m *refModel) pop() event {
-	ev := m.events[0]
-	m.events = m.events[1:]
-	return ev
+// next returns the label and time of what runs next; timer is the
+// slot, or -1 for the first heap event.
+func (m *refModel) next() (label string, when Cycle, timer int, ok bool) {
+	timer = -1
+	for i, tm := range m.timers {
+		if !tm.armed {
+			continue
+		}
+		if timer < 0 || tm.when < m.timers[timer].when ||
+			(tm.when == m.timers[timer].when && tm.phase < m.timers[timer].phase) {
+			timer = i
+		}
+	}
+	if len(m.events) > 0 && (timer < 0 || m.events[0].when <= m.timers[timer].when) {
+		return "e" + strconv.FormatUint(m.events[0].seq, 10), m.events[0].when, -1, true
+	}
+	if timer < 0 {
+		return "", 0, -1, false
+	}
+	return "t" + strconv.Itoa(timer), m.timers[timer].when, timer, true
 }
 
-// TestHeapMatchesReferenceModel drives random schedule/fire interleavings
-// through the engine's heap and a sorted-slice model and requires
-// identical pop order under the full (when, phase, seq) key: random
-// phases in 0–2 mix normal and phased events on one cycle, a small time
-// range makes same-cycle ties common, and occasional far-future events
-// sit deep in the heap while the near ones churn above them.
+// seqHandler reports the model sequence number each heap event carries.
+type seqHandler struct{ fire func(label string) }
+
+func (h seqHandler) OnEvent(arg any) { h.fire("e" + strconv.FormatUint(arg.(uint64), 10)) }
+
+// TestHeapMatchesReferenceModel drives random interleavings of heap
+// events and timer arms, re-arms and stops through the engine and a
+// sorted-slice model in lockstep: every dispatch must be the one the
+// model runs next, under the full order (heap events by (when, seq),
+// then timers by (when, phase, slot)). The same random actions also run
+// inside dispatch, so heap events pushed from a timer for its own
+// cycle, timers re-armed from their own handler and slots registered
+// mid-dispatch are all covered. A small time range makes same-cycle ties
+// common, and occasional far-future events sit deep in the heap while
+// the near ones churn above them.
 func TestHeapMatchesReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		var e Engine
 		var m refModel
 		var seq uint64
-		check := func(at string) {
-			t.Helper()
-			got, want := heapPop(&e.pq), m.pop()
-			if got.when != want.when || got.phase != want.phase || got.seq != want.seq {
-				t.Fatalf("trial %d %s: pop = (%d,%d,%d), model = (%d,%d,%d)", trial, at,
-					got.when, got.phase, got.seq, want.when, want.phase, want.seq)
-			}
+		var ids []Timer
+		var fire func(label string)
+		h := seqHandler{func(label string) { fire(label) }}
+		register := func() {
+			i := len(ids)
+			ids = append(ids, e.NewTimer(call(func() { fire("t" + strconv.Itoa(i)) })))
+			m.timers = append(m.timers, refTimer{})
 		}
-		for step := 0; step < 400; step++ {
-			if len(e.pq) == 0 || rng.Intn(3) != 0 {
+		act := func() {
+			now := e.Now()
+			switch r := rng.Intn(8); {
+			case r < 4:
 				seq++
-				when := Cycle(rng.Intn(16))
+				when := now + Cycle(rng.Intn(4))
 				if rng.Intn(16) == 0 {
 					when += 1<<20 + Cycle(rng.Intn(1<<20))
 				}
-				ev := event{when: when, phase: uint64(rng.Intn(3)), seq: seq}
-				heapPush(&e.pq, ev)
-				m.push(ev)
-			} else {
-				check("step " + strconv.Itoa(step))
+				e.ScheduleEventAt(when, h, seq)
+				m.push(refEvent{when, seq})
+			case r < 6:
+				i := rng.Intn(len(ids))
+				when, phase := now+Cycle(rng.Intn(4)), uint64(rng.Intn(3))
+				e.ArmTimer(ids[i], when, phase)
+				m.timers[i] = refTimer{when, phase, true}
+			case r < 7:
+				i := rng.Intn(len(ids))
+				e.StopTimer(ids[i])
+				m.timers[i].armed = false
+			default:
+				if len(ids) < 9 {
+					register()
+				}
 			}
 		}
-		for len(m.events) > 0 {
-			check("drain")
+		fire = func(label string) {
+			want, when, timer, ok := m.next()
+			if !ok || label != want || when != e.Now() {
+				t.Fatalf("trial %d: dispatched %s at %d, model runs %s at %d (ok=%v)",
+					trial, label, e.Now(), want, when, ok)
+			}
+			if timer >= 0 {
+				m.timers[timer].armed = false
+			} else {
+				m.events = m.events[1:]
+			}
+			if rng.Intn(2) == 0 {
+				act()
+			}
 		}
-		if len(e.pq) != 0 {
-			t.Fatalf("trial %d: heap kept %d events past the model", trial, len(e.pq))
+		for range 1 + rng.Intn(4) {
+			register()
+		}
+		run := func() {
+			_, when, _, _ := m.next()
+			if got, ok := e.PeekNext(); !ok || got != when {
+				t.Fatalf("trial %d: PeekNext = %d, %v; model %d", trial, got, ok, when)
+			}
+			e.RunUntil(when)
+			if _, w, _, ok := m.next(); ok && w <= e.Now() {
+				t.Fatalf("trial %d: RunUntil(%d) left work due at %d", trial, when, w)
+			}
+		}
+		for step := 0; step < 400; step++ {
+			if _, _, _, ok := m.next(); !ok || rng.Intn(3) != 0 {
+				act()
+			} else {
+				run()
+			}
+			for i, tm := range m.timers {
+				if when, ok := e.TimerAt(ids[i]); ok != tm.armed || (ok && when != tm.when) {
+					t.Fatalf("trial %d: TimerAt(%d) = %d, %v; model %+v", trial, i, when, ok, tm)
+				}
+			}
+		}
+		for {
+			if _, _, _, ok := m.next(); !ok {
+				break
+			}
+			run()
+		}
+		if _, ok := e.PeekNext(); ok || len(e.pq) != 0 {
+			t.Fatalf("trial %d: engine kept work past the model", trial)
 		}
 	}
 }

@@ -34,6 +34,21 @@ func TestWatchdogCatchesFrozenTime(t *testing.T) {
 	e.RunUntil(100)
 }
 
+// TestTimerWatchdog: a timer that re-arms itself at Now forever counts
+// toward the same watchdog as heap events.
+func TestTimerWatchdog(t *testing.T) {
+	defer func() {
+		if msg, ok := recover().(string); !ok || !strings.Contains(msg, "sim: watchdog") {
+			t.Fatalf("panic = %v, want a sim: watchdog report", msg)
+		}
+	}()
+	e := &Engine{}
+	var tm Timer
+	tm = e.NewTimer(call(func() { e.ArmTimer(tm, e.Now(), 0) }))
+	e.ArmTimer(tm, 1, 0)
+	e.RunUntil(100)
+}
+
 // TestWatchdogAllowsDenseSameCycleBursts: a large but finite same-cycle
 // burst (well under the limit) must run to completion — the watchdog
 // only fires on genuine livelock.
