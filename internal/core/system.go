@@ -703,7 +703,9 @@ func (s *System) deadlockReport(now sim.Cycle) string {
 // (with the same prefetcher setting), so that throughput ratios between
 // memory organizations reflect their shared-run behaviour — this is how
 // the paper's normalized figures read. The three systems restore their
-// prewarm checkpoints from cps (see RunWith and PrewarmKeys).
+// prewarm checkpoints from cps (see RunWith and PrewarmKeys), and the
+// two stand-alone references are shared through cps by every cell of
+// the benchmark that holds the one-core key (see aloneIPC).
 func RunPair(cfg SystemConfig, spec workload.Spec, scale RunScale, cps *Checkpoints) (Results, error) {
 	sharedSys, err := NewSystem(cfg, spec)
 	if err != nil {
@@ -724,26 +726,58 @@ func RunPair(cfg SystemConfig, spec workload.Spec, scale RunScale, cps *Checkpoi
 	// The stand-alone references honour the same deadline/cancellation
 	// hook as the shared run, so a cell deadline bounds the whole pair.
 	baseCfg.Cancel = cfg.Cancel
-	baseSys, err := NewSystem(baseCfg, spec)
+	alone, err := aloneIPC(baseCfg, spec, aloneScale, cps)
 	if err != nil {
 		return Results{}, err
 	}
-	alone := baseSys.RunWith(aloneScale, cps)
-	if len(alone.IPCs) > 0 && alone.IPCs[0] > 0 {
-		res.Throughput = res.SumIPC / alone.IPCs[0]
+	if alone > 0 {
+		res.Throughput = res.SumIPC / alone
 	}
 
 	selfCfg := cfg
 	selfCfg.NCores = 1
-	selfSys, err := NewSystem(selfCfg, spec)
+	selfAlone, err := aloneIPC(selfCfg, spec, aloneScale, cps)
 	if err != nil {
 		return Results{}, err
 	}
-	selfAlone := selfSys.RunWith(aloneScale, cps)
-	if len(selfAlone.IPCs) > 0 && selfAlone.IPCs[0] > 0 {
-		res.ThroughputSelf = res.SumIPC / selfAlone.IPCs[0]
+	if selfAlone > 0 {
+		res.ThroughputSelf = res.SumIPC / selfAlone
 	}
 	return res, nil
+}
+
+// aloneIPC returns the IPC of cfg, a one-core config, run stand-alone on
+// spec at scale. The run reads nothing but cfg's key, spec, scale and
+// the one-core checkpoint, so while cps holds that key it runs once and
+// later cells read its IPC (Checkpoints.reference). A system that
+// traces its fills always runs, so its trace is whole.
+func aloneIPC(cfg SystemConfig, spec workload.Spec, scale RunScale, cps *Checkpoints) (float64, error) {
+	run := func() (ipc float64, whole bool, err error) {
+		cut := false
+		if cancel := cfg.Cancel; cancel != nil {
+			cfg.Cancel = func() bool {
+				if cancel() {
+					cut = true
+					return true
+				}
+				return false
+			}
+		}
+		sys, err := NewSystem(cfg, spec)
+		if err != nil {
+			return 0, false, err
+		}
+		if res := sys.RunWith(scale, cps); len(res.IPCs) > 0 {
+			ipc = res.IPCs[0]
+		}
+		return ipc, !cut, nil
+	}
+	if cfg.TraceFn != nil {
+		ipc, _, err := run()
+		return ipc, err
+	}
+	k := CheckpointKey{spec, 1, cfg.Seed, scale.PrewarmOps}
+	return cps.reference(k, refKey{cfg.Key(), scale}, run)
 }
 
 // csvColumn is one entry of the summary-CSV schema: a column name and
