@@ -12,11 +12,13 @@ import (
 )
 
 // TestSweepdSharesCheckpoints runs a pair job of four ROB sizes on mcf.
-// Its 12 prewarms (three systems per cell) need only two checkpoints:
-// the 8-core one of the shared runs and the 1-core one of the alone
-// runs. The server's runner must build each once and restore the rest,
-// and every row must equal the cell run on its own with private
-// prewarms.
+// Its cells share one DDR3 stand-alone reference, and each runs its own
+// self reference (the ROB size is part of its config), so 9 systems
+// prewarm: four shared runs and five references. They need only two
+// checkpoints: the 8-core one of the shared runs and the 1-core one of
+// the references. The server's runner must build each once and restore
+// the rest, and every row must equal the cell run on its own with
+// private prewarms.
 func TestSweepdSharesCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	h := newHarness(t, filepath.Join(dir, "cache"), filepath.Join(dir, "state"), 2)
@@ -54,7 +56,7 @@ func TestSweepdSharesCheckpoints(t *testing.T) {
 	if got := h.resultsCSV(t, st.ID); got != want.String() {
 		t.Errorf("rows differ from private-prewarm runs:\ngot:\n%s\nwant:\n%s", got, want.String())
 	}
-	if got, want := h.srv.runner.Prewarms(), (core.CheckpointStats{Built: 2, Reused: 10}); got != want {
+	if got, want := h.srv.runner.Prewarms(), (core.CheckpointStats{Built: 2, Reused: 7, RefsRun: 5, RefsReused: 3}); got != want {
 		t.Errorf("prewarms = %+v, want %+v", got, want)
 	}
 }
