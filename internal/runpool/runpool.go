@@ -30,27 +30,15 @@ func (t *Task[V]) Wait() (V, error) {
 	return t.val, t.err
 }
 
-// Done reports whether the job has finished without blocking.
-func (t *Task[V]) Done() bool {
-	select {
-	case <-t.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // Stats counts pool activity.
 type Stats struct {
 	// Submitted is the number of distinct jobs accepted (unique keys).
 	Submitted int
 	// Deduped is the number of Submit calls that joined an existing job.
 	Deduped int
-	// Executed is the number of jobs whose function has finished.
+	// Executed is the number of jobs whose function has finished, a
+	// panicking one included.
 	Executed int
-	// Panicked is the number of jobs that panicked; each is surfaced as
-	// that job's error while sibling jobs run to completion.
-	Panicked int
 }
 
 // Pool runs keyed jobs on at most Workers goroutines, starting them in
@@ -133,9 +121,6 @@ func (p *Pool[K, V]) run(fn func() (V, error)) (val V, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("runpool: task panicked: %v\n%s", r, debug.Stack())
-			p.mu.Lock()
-			p.stats.Panicked++
-			p.mu.Unlock()
 		}
 	}()
 	return fn()

@@ -46,7 +46,10 @@ func TestMemoizesCompletedRuns(t *testing.T) {
 			return s, nil
 		}
 	}
-	tk, _ := p.Submit(1, mk("first"))
+	tk, created := p.Submit(1, mk("first"))
+	if !created {
+		t.Fatal("first Submit of a key did not create its task")
+	}
 	if v, _ := tk.Wait(); v != "first" {
 		t.Fatalf("v = %q", v)
 	}
@@ -157,9 +160,8 @@ func TestPanicFailsOnlyItsOwnTask(t *testing.T) {
 			t.Fatalf("sibling task %d = (%d, %v), want (%d, nil)", i, v, err, i*10)
 		}
 	}
-	st := p.Stats()
-	if st.Panicked != 1 || st.Executed != n {
-		t.Fatalf("stats = %+v, want Panicked=1 Executed=%d", st, n)
+	if st := p.Stats(); st.Executed != n {
+		t.Fatalf("stats = %+v, want Executed=%d", st, n)
 	}
 	// The panic error is memoized like any other error.
 	tk, _ := p.Submit(bad, func() (int, error) { return 1, nil })
@@ -176,22 +178,5 @@ func TestDefaultWorkers(t *testing.T) {
 	tk, _ := p.Submit(1, func() (int, error) { return 5, nil })
 	if v, err := tk.Wait(); v != 5 || err != nil {
 		t.Fatalf("Wait = %v, %v", v, err)
-	}
-}
-
-func TestDoneNonBlocking(t *testing.T) {
-	p := New[int, int](1)
-	gate := make(chan struct{})
-	tk, created := p.Submit(1, func() (int, error) { <-gate; return 1, nil })
-	if !created {
-		t.Fatal("first Submit of a key did not create its task")
-	}
-	if tk.Done() {
-		t.Fatal("task reported done before running")
-	}
-	close(gate)
-	tk.Wait()
-	if !tk.Done() {
-		t.Fatal("task not done after Wait")
 	}
 }
