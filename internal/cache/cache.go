@@ -17,17 +17,6 @@ func LineAddr(byteAddr uint64) uint64 { return byteAddr / LineSize }
 // WordIndex extracts which of the 8 words a byte address touches.
 func WordIndex(byteAddr uint64) int { return int(byteAddr / 8 % WordsPerLine) }
 
-// line is one cache line's bookkeeping. Data values are not modelled —
-// only placement, dirtiness and the per-line metadata byte used by the
-// adaptive critical-word scheme (§4.2.5: a 3-bit critical word tag).
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	meta  uint8
-	lru   uint64 // larger = more recently used
-}
-
 // Eviction describes a victim pushed out by Insert.
 type Eviction struct {
 	LineAddr uint64
@@ -47,8 +36,17 @@ type Stats struct {
 // true-LRU replacement. It tracks placement only; the simulator's
 // timing comes from who consults it and when. Not safe for concurrent
 // use (the simulator is single-threaded).
+//
+// Line state lives in flat parallel slices indexed set*ways+way, so a
+// probe scans ways consecutive tags (one 64-byte host line for the
+// 8-way LLC). Data values are not modelled, only placement, dirtiness
+// and the per-line metadata byte used by the adaptive critical-word
+// scheme (§4.2.5: a 3-bit critical word tag).
 type Cache struct {
-	sets    [][]line
+	tags    []uint64 // lineAddr+1 of a valid line; 0 = invalid
+	lru     []uint64 // larger = more recently used
+	dirty   []bool
+	meta    []uint8
 	ways    int
 	setMask uint64
 	tick    uint64
@@ -63,41 +61,47 @@ func New(capacityBytes, ways int) *Cache {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
 	}
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*ways)
-	for i := range sets {
-		sets[i], backing = backing[:ways], backing[ways:]
+	n := nsets * ways
+	return &Cache{
+		tags: make([]uint64, n), lru: make([]uint64, n),
+		dirty: make([]bool, n), meta: make([]uint8, n),
+		ways: ways, setMask: uint64(nsets - 1),
 	}
-	return &Cache{sets: sets, ways: ways, setMask: uint64(nsets - 1)}
 }
 
 // Sets and Ways report the geometry.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return len(c.tags) / c.ways }
 
 // Ways reports the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-func (c *Cache) find(lineAddr uint64) *line {
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> 0
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return &set[i]
+// find returns the slot holding lineAddr, or -1.
+func (c *Cache) find(lineAddr uint64) int {
+	base := int(lineAddr&c.setMask) * c.ways
+	tag := lineAddr + 1
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == tag {
+			return base + i
 		}
 	}
-	return nil
+	return -1
+}
+
+// hit refreshes slot i's LRU and, when write is set, dirties it.
+func (c *Cache) hit(i int, write bool) {
+	c.tick++
+	c.lru[i] = c.tick
+	if write {
+		c.dirty[i] = true
+	}
+	c.Stat.Hits++
 }
 
 // Lookup probes for a line; on a hit it refreshes LRU and, when write
 // is set, marks the line dirty.
 func (c *Cache) Lookup(lineAddr uint64, write bool) bool {
-	if l := c.find(lineAddr); l != nil {
-		c.tick++
-		l.lru = c.tick
-		if write {
-			l.dirty = true
-		}
-		c.Stat.Hits++
+	if i := c.find(lineAddr); i >= 0 {
+		c.hit(i, write)
 		return true
 	}
 	c.Stat.Misses++
@@ -105,51 +109,69 @@ func (c *Cache) Lookup(lineAddr uint64, write bool) bool {
 }
 
 // Contains probes without touching LRU, dirtiness or stats.
-func (c *Cache) Contains(lineAddr uint64) bool { return c.find(lineAddr) != nil }
+func (c *Cache) Contains(lineAddr uint64) bool { return c.find(lineAddr) >= 0 }
 
 // Insert places a line, evicting the LRU way if the set is full. The
 // eviction (if any) is returned so the caller can write back dirty data
 // and maintain inclusion.
 func (c *Cache) Insert(lineAddr uint64, dirty bool, meta uint8) (Eviction, bool) {
-	if l := c.find(lineAddr); l != nil {
+	if i := c.find(lineAddr); i >= 0 {
 		// Already present (racing fills): refresh.
 		c.tick++
-		l.lru = c.tick
-		l.dirty = l.dirty || dirty
-		l.meta = meta
+		c.lru[i] = c.tick
+		c.dirty[i] = c.dirty[i] || dirty
+		c.meta[i] = meta
 		return Eviction{}, false
 	}
-	set := c.sets[lineAddr&c.setMask]
+	return c.install(lineAddr, dirty, meta)
+}
+
+// LookupOrInsert is one probe for a functional access: on a hit it
+// does what Lookup does (LRU refresh, dirty on write, a counted hit);
+// on a miss it installs the line as Insert does, counting no miss.
+func (c *Cache) LookupOrInsert(lineAddr uint64, write bool, meta uint8) (Eviction, bool) {
+	if i := c.find(lineAddr); i >= 0 {
+		c.hit(i, write)
+		return Eviction{}, false
+	}
+	return c.install(lineAddr, write, meta)
+}
+
+// install places an absent line in the first invalid way of its set,
+// else in its least recently used way.
+func (c *Cache) install(lineAddr uint64, dirty bool, meta uint8) (Eviction, bool) {
+	base := int(lineAddr&c.setMask) * c.ways
+	tags, lru := c.tags[base:base+c.ways], c.lru[base:base+c.ways]
 	victim := 0
-	for i := range set {
-		if !set[i].valid {
+	for i, t := range tags {
+		if t == 0 {
 			victim = i
 			break
 		}
-		if set[i].lru < set[victim].lru {
+		if lru[i] < lru[victim] {
 			victim = i
 		}
 	}
+	v := base + victim
 	var ev Eviction
-	evicted := false
-	if set[victim].valid {
-		ev = Eviction{LineAddr: set[victim].tag, Dirty: set[victim].dirty, Meta: set[victim].meta}
-		evicted = true
+	evicted := tags[victim] != 0
+	if evicted {
+		ev = Eviction{LineAddr: tags[victim] - 1, Dirty: c.dirty[v], Meta: c.meta[v]}
 		c.Stat.Evictions++
 		if ev.Dirty {
 			c.Stat.Writebacks++
 		}
 	}
 	c.tick++
-	set[victim] = line{tag: lineAddr, valid: true, dirty: dirty, meta: meta, lru: c.tick}
+	tags[victim], lru[victim], c.dirty[v], c.meta[v] = lineAddr+1, c.tick, dirty, meta
 	return ev, evicted
 }
 
 // MarkDirty sets a resident line's dirty bit without touching LRU state
 // or hit/miss statistics (used for write-backs from an inner cache).
 func (c *Cache) MarkDirty(lineAddr uint64) bool {
-	if l := c.find(lineAddr); l != nil {
-		l.dirty = true
+	if i := c.find(lineAddr); i >= 0 {
+		c.dirty[i] = true
 		return true
 	}
 	return false
@@ -157,25 +179,25 @@ func (c *Cache) MarkDirty(lineAddr uint64) bool {
 
 // Invalidate drops a line, reporting whether it was present and dirty.
 func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
-	if l := c.find(lineAddr); l != nil {
-		l.valid = false
-		return true, l.dirty
+	if i := c.find(lineAddr); i >= 0 {
+		c.tags[i] = 0
+		return true, c.dirty[i]
 	}
 	return false, false
 }
 
 // Meta reads the metadata byte of a resident line.
 func (c *Cache) Meta(lineAddr uint64) (uint8, bool) {
-	if l := c.find(lineAddr); l != nil {
-		return l.meta, true
+	if i := c.find(lineAddr); i >= 0 {
+		return c.meta[i], true
 	}
 	return 0, false
 }
 
 // SetMeta updates the metadata byte of a resident line.
 func (c *Cache) SetMeta(lineAddr uint64, meta uint8) bool {
-	if l := c.find(lineAddr); l != nil {
-		l.meta = meta
+	if i := c.find(lineAddr); i >= 0 {
+		c.meta[i] = meta
 		return true
 	}
 	return false
@@ -186,29 +208,31 @@ func (c *Cache) SetMeta(lineAddr uint64, meta uint8) bool {
 // each with its slot, so a restore costs time in proportion to them
 // rather than to the cache's capacity.
 type Snapshot struct {
-	slots []int32 // set*ways + way of each line
-	lines []line
+	lines []snapLine
 	tick  uint64
 	stat  Stats
+}
+
+// snapLine is one resident line of a Snapshot.
+type snapLine struct {
+	tag, lru uint64
+	slot     int32 // set*ways + way
+	dirty    bool
+	meta     uint8
 }
 
 // Snapshot copies the cache's resident lines, LRU clock and stats.
 func (c *Cache) Snapshot() Snapshot {
 	n := 0
-	for _, set := range c.sets {
-		for _, l := range set {
-			if l.valid {
-				n++
-			}
+	for _, t := range c.tags {
+		if t != 0 {
+			n++
 		}
 	}
-	s := Snapshot{slots: make([]int32, 0, n), lines: make([]line, 0, n), tick: c.tick, stat: c.Stat}
-	for si, set := range c.sets {
-		for w, l := range set {
-			if l.valid {
-				s.slots = append(s.slots, int32(si*c.ways+w))
-				s.lines = append(s.lines, l)
-			}
+	s := Snapshot{lines: make([]snapLine, 0, n), tick: c.tick, stat: c.Stat}
+	for i, t := range c.tags {
+		if t != 0 {
+			s.lines = append(s.lines, snapLine{tag: t, lru: c.lru[i], slot: int32(i), dirty: c.dirty[i], meta: c.meta[i]})
 		}
 	}
 	return s
@@ -218,8 +242,8 @@ func (c *Cache) Snapshot() Snapshot {
 // was taken from. s is only read, so one snapshot may be restored into
 // many caches at once.
 func (c *Cache) Restore(s Snapshot) {
-	for i, slot := range s.slots {
-		c.sets[int(slot)/c.ways][int(slot)%c.ways] = s.lines[i]
+	for _, l := range s.lines {
+		c.tags[l.slot], c.lru[l.slot], c.dirty[l.slot], c.meta[l.slot] = l.tag, l.lru, l.dirty, l.meta
 	}
 	c.tick = s.tick
 	c.Stat = s.stat

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -264,5 +265,212 @@ func TestEntryDone(t *testing.T) {
 	e.LineArrived = true
 	if !e.Done() {
 		t.Fatal("complete entry not done")
+	}
+}
+
+// refLine and refCache are the cache as it was written before its
+// flat tag arrays: a [][]line of records with a valid bit. They are the
+// reference TestCacheMatchesReferenceModel holds the flat layout to.
+type refLine struct {
+	tag   uint64
+	valid bool
+	dirty bool
+	meta  uint8
+	lru   uint64
+}
+
+type refCache struct {
+	sets    [][]refLine
+	setMask uint64
+	tick    uint64
+	stat    Stats
+}
+
+type refSnapshot struct {
+	slots []int
+	lines []refLine
+	tick  uint64
+	stat  Stats
+}
+
+func newRefCache(capacityBytes, ways int) *refCache {
+	nsets := capacityBytes / LineSize / ways
+	r := &refCache{sets: make([][]refLine, nsets), setMask: uint64(nsets - 1)}
+	backing := make([]refLine, nsets*ways)
+	for i := range r.sets {
+		r.sets[i], backing = backing[:ways], backing[ways:]
+	}
+	return r
+}
+
+func (r *refCache) find(la uint64) *refLine {
+	set := r.sets[la&r.setMask]
+	for i := range set {
+		if set[i].valid && set[i].tag == la {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+func (r *refCache) lookup(la uint64, write bool) bool {
+	if l := r.find(la); l != nil {
+		r.tick++
+		l.lru = r.tick
+		if write {
+			l.dirty = true
+		}
+		r.stat.Hits++
+		return true
+	}
+	r.stat.Misses++
+	return false
+}
+
+func (r *refCache) insert(la uint64, dirty bool, meta uint8) (Eviction, bool) {
+	if l := r.find(la); l != nil {
+		r.tick++
+		l.lru = r.tick
+		l.dirty = l.dirty || dirty
+		l.meta = meta
+		return Eviction{}, false
+	}
+	set := r.sets[la&r.setMask]
+	victim := 0
+	for i := range set {
+		if !set[i].valid {
+			victim = i
+			break
+		}
+		if set[i].lru < set[victim].lru {
+			victim = i
+		}
+	}
+	var ev Eviction
+	evicted := false
+	if set[victim].valid {
+		ev = Eviction{LineAddr: set[victim].tag, Dirty: set[victim].dirty, Meta: set[victim].meta}
+		evicted = true
+		r.stat.Evictions++
+		if ev.Dirty {
+			r.stat.Writebacks++
+		}
+	}
+	r.tick++
+	set[victim] = refLine{tag: la, valid: true, dirty: dirty, meta: meta, lru: r.tick}
+	return ev, evicted
+}
+
+// lookupOrInsert is the prewarm probe as it was spelled: Contains,
+// then Lookup on a hit or Insert on a miss.
+func (r *refCache) lookupOrInsert(la uint64, write bool, meta uint8) (Eviction, bool) {
+	if r.find(la) != nil {
+		r.lookup(la, write)
+		return Eviction{}, false
+	}
+	return r.insert(la, write, meta)
+}
+
+func (r *refCache) snapshot() refSnapshot {
+	s := refSnapshot{tick: r.tick, stat: r.stat}
+	for si, set := range r.sets {
+		for w, l := range set {
+			if l.valid {
+				s.slots = append(s.slots, si*len(set)+w)
+				s.lines = append(s.lines, l)
+			}
+		}
+	}
+	return s
+}
+
+func (r *refCache) restore(s refSnapshot) {
+	ways := len(r.sets[0])
+	for i, slot := range s.slots {
+		r.sets[slot/ways][slot%ways] = s.lines[i]
+	}
+	r.tick, r.stat = s.tick, s.stat
+}
+
+// The flat cache must behave exactly like the record-based reference
+// under a random mix of every operation, a snapshot restored into a
+// fresh cache included, on the L1 and LLC geometries. Addresses come
+// from the first two sets and the last (so sets fill and evict, and
+// the highest slot is used) and include line 0, whose tag would read
+// as invalid without the +1 offset.
+func TestCacheMatchesReferenceModel(t *testing.T) {
+	for _, geo := range []struct{ bytes, ways int }{{32 * 1024, 2}, {4 * 1024 * 1024, 8}} {
+		rng := rand.New(rand.NewSource(int64(geo.ways)))
+		c, r := New(geo.bytes, geo.ways), newRefCache(geo.bytes, geo.ways)
+		nsets := uint64(c.Sets())
+		sets := []uint64{0, 1, nsets - 1}
+		addrs := []uint64{0}
+		for len(addrs) < 6*geo.ways {
+			addrs = append(addrs, uint64(rng.Intn(3*geo.ways))*nsets+sets[rng.Intn(len(sets))])
+		}
+		for step := 0; step < 100000; step++ {
+			la := addrs[rng.Intn(len(addrs))]
+			write, meta := rng.Intn(2) == 0, uint8(rng.Intn(256))
+			var got, want any
+			// One step in 500 restores a snapshot into fresh caches.
+			switch op := rng.Intn(1000); {
+			case op < 200:
+				got, want = c.Lookup(la, write), r.lookup(la, write)
+			case op < 300:
+				got, want = c.Contains(la), r.find(la) != nil
+			case op < 500:
+				ev, ok := c.Insert(la, write, meta)
+				rev, rok := r.insert(la, write, meta)
+				got, want = [2]any{ev, ok}, [2]any{rev, rok}
+			case op < 750:
+				ev, ok := c.LookupOrInsert(la, write, meta)
+				rev, rok := r.lookupOrInsert(la, write, meta)
+				got, want = [2]any{ev, ok}, [2]any{rev, rok}
+			case op < 820:
+				p, d := c.Invalidate(la)
+				var rp, rd bool
+				if l := r.find(la); l != nil {
+					l.valid, rp, rd = false, true, l.dirty
+				}
+				got, want = [2]bool{p, d}, [2]bool{rp, rd}
+			case op < 880:
+				var rok bool
+				if l := r.find(la); l != nil {
+					l.dirty, rok = true, true
+				}
+				got, want = c.MarkDirty(la), rok
+			case op < 930:
+				m, ok := c.Meta(la)
+				var rm uint8
+				l := r.find(la)
+				if l != nil {
+					rm = l.meta
+				}
+				got, want = [2]any{m, ok}, [2]any{rm, l != nil}
+			case op < 998:
+				var rok bool
+				if l := r.find(la); l != nil {
+					l.meta, rok = meta, true
+				}
+				got, want = c.SetMeta(la, meta), rok
+			default:
+				fresh, freshRef := New(geo.bytes, geo.ways), newRefCache(geo.bytes, geo.ways)
+				fresh.Restore(c.Snapshot())
+				freshRef.restore(r.snapshot())
+				c, r = fresh, freshRef
+			}
+			if got != want {
+				t.Fatalf("%d-way step %d line %d: got %v, reference %v", geo.ways, step, la, got, want)
+			}
+			if c.Stat != r.stat {
+				t.Fatalf("%d-way step %d: stats %+v, reference %+v", geo.ways, step, c.Stat, r.stat)
+			}
+		}
+		for _, la := range addrs {
+			m, ok := c.Meta(la)
+			if l := r.find(la); ok != (l != nil) || ok && m != l.meta {
+				t.Fatalf("%d-way: line %d resident %v meta %d at the end, reference %+v", geo.ways, la, ok, m, l)
+			}
+		}
 	}
 }

@@ -44,13 +44,8 @@ func warm(k CheckpointKey, llc *cache.Cache, gens []*workload.Generator, placed 
 	for _, gen := range gens {
 		for n := uint64(0); n < k.Ops; n++ {
 			op := gen.Next()
-			la := cache.LineAddr(op.Addr)
-			if llc.Contains(la) {
-				llc.Lookup(la, op.Store) // refresh LRU; dirty on store
-				continue
-			}
 			meta := metaValid | uint8(cache.WordIndex(op.Addr))
-			if ev, evicted := llc.Insert(la, op.Store, meta); evicted && ev.Dirty && placed != nil {
+			if ev, evicted := llc.LookupOrInsert(cache.LineAddr(op.Addr), op.Store, meta); evicted && ev.Dirty && placed != nil {
 				relayoutInto(placed, ev)
 			}
 		}
