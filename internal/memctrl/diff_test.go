@@ -58,8 +58,9 @@ type stimProfile struct {
 func genStim(rng *sim.RNG, p stimProfile) []diffStim {
 	stim := make([]diffStim, 0, p.n)
 	at := sim.Cycle(1 + rng.Intn(200))
+	burstGeo := sim.NewGeo(p.burstMean)
 	for len(stim) < p.n {
-		burst := 1 + rng.Geometric(p.burstMean)
+		burst := 1 + rng.Geometric(burstGeo)
 		for b := 0; b < burst && len(stim) < p.n; b++ {
 			stim = append(stim, diffStim{
 				at:       at,

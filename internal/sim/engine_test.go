@@ -220,15 +220,15 @@ func TestRNGZipfSkew(t *testing.T) {
 func TestRNGGeometricMean(t *testing.T) {
 	r := NewRNG(9)
 	const n = 200000
-	sum := 0
+	sum, g := 0, NewGeo(10)
 	for i := 0; i < n; i++ {
-		sum += r.Geometric(10)
+		sum += r.Geometric(g)
 	}
 	mean := float64(sum) / n
 	if mean < 9 || mean > 11 {
 		t.Errorf("Geometric(10) sample mean = %v", mean)
 	}
-	if r.Geometric(0) != 0 || r.Geometric(-1) != 0 {
+	if r.Geometric(NewGeo(0)) != 0 || r.Geometric(NewGeo(-1)) != 0 {
 		t.Error("Geometric of non-positive mean must be 0")
 	}
 }

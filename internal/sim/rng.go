@@ -75,19 +75,35 @@ func (r *RNG) Zipf(n int, s float64) int {
 	return i
 }
 
-// Geometric returns a non-negative value with mean approximately mean,
-// drawn from a geometric distribution. Used for gap lengths between
-// memory operations. A mean <= 0 always returns 0.
-func (r *RNG) Geometric(mean float64) int {
+// Geo is a geometric distribution on {0,1,2,...} with a given mean,
+// drawn by RNG.Geometric. NewGeo takes the logarithm its inverse CDF
+// divides by once, so a draw costs one logarithm.
+type Geo struct {
+	logQ  float64 // math.Log(1-p), p = 1/(1+mean)
+	draws bool    // false: mean <= 0, every draw is 0 and uses no randomness
+}
+
+// NewGeo returns the geometric distribution with mean approximately
+// mean. A mean <= 0 always draws 0.
+func NewGeo(mean float64) Geo {
 	if mean <= 0 {
-		return 0
+		return Geo{}
 	}
 	p := 1 / (1 + mean)
+	return Geo{logQ: math.Log(1 - p), draws: true}
+}
+
+// Geometric returns a non-negative value drawn from g. Used for gap
+// lengths between memory operations.
+func (r *RNG) Geometric(g Geo) int {
+	if !g.draws {
+		return 0
+	}
 	u := r.Float64()
 	// Inverse CDF of the geometric distribution on {0,1,2,...}.
-	g := int(math.Log(1-u) / math.Log(1-p))
-	if g < 0 {
-		g = 0
+	n := int(math.Log(1-u) / g.logQ)
+	if n < 0 {
+		n = 0
 	}
-	return g
+	return n
 }
