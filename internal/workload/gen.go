@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"slices"
 
 	"hetsim/internal/cpu"
@@ -32,6 +34,10 @@ type Generator struct {
 	curLine uint64
 	runLeft int
 
+	// gapGeo, runGeo and reuseGeo draw the spec's GapMean, SeqRun-1 and
+	// ReuseGapMean geometric lengths.
+	gapGeo, runGeo, reuseGeo sim.Geo
+
 	// pending is a fixed ring of reuse accesses waiting to mature: a
 	// slice that pops from the front loses capacity and re-allocates on
 	// every push, which the hot path cannot afford.
@@ -42,8 +48,9 @@ type Generator struct {
 	// history is a ring of recently touched line indices used for
 	// medium-distance reuse (MidReuseProb): revisits of lines that may
 	// have aged out of the LLC, the pattern adaptive placement learns
-	// from.
-	history    []uint64
+	// from. Slots hold unwrapped line indices (PreferredWord hashes
+	// them) in 32 bits; remember panics on one that does not fit.
+	history    []uint32
 	histPos    int
 	histFilled bool
 }
@@ -65,6 +72,10 @@ func NewGenerator(spec Spec, coreID, nCores int, base uint64, seed uint64) *Gene
 		spec: spec,
 		rng:  sim.NewRNG(seed ^ uint64(coreID)*0x9e3779b97f4a7c15 ^ hash64(uint64(len(spec.Name)))),
 		base: base,
+
+		gapGeo:   sim.NewGeo(spec.GapMean),
+		runGeo:   sim.NewGeo(spec.SeqRun - 1),
+		reuseGeo: sim.NewGeo(spec.ReuseGapMean),
 	}
 	if spec.Multithreaded && nCores > 1 {
 		g.lines = total / uint64(nCores)
@@ -83,7 +94,7 @@ func NewGenerator(spec Spec, coreID, nCores int, base uint64, seed uint64) *Gene
 		if size < 256 {
 			size = 256
 		}
-		g.history = make([]uint64, size)
+		g.history = make([]uint32, size)
 	}
 	g.jump()
 	return g
@@ -123,7 +134,10 @@ func (g *Generator) remember(lineIdx uint64) {
 	if g.history == nil {
 		return
 	}
-	g.history[g.histPos] = lineIdx
+	if lineIdx > math.MaxUint32 {
+		panic(fmt.Sprintf("workload %s: line index %d does not fit the 32-bit reuse-history ring", g.spec.Name, lineIdx))
+	}
+	g.history[g.histPos] = uint32(lineIdx)
 	g.histPos++
 	if g.histPos == len(g.history) {
 		g.histPos = 0
@@ -144,7 +158,7 @@ func (g *Generator) recallLine() (uint64, bool) {
 	if n < 64 {
 		return 0, false
 	}
-	return g.history[g.rng.Intn(n)], true
+	return uint64(g.history[g.rng.Intn(n)]), true
 }
 
 // hash64 is a splitmix64 finalizer for per-line preferred words.
@@ -180,7 +194,7 @@ func (g *Generator) jump() {
 	}
 	p := uint64(g.rng.Zipf(pages, g.spec.PageZipf))
 	g.curLine = g.part + p*LinesPerPage + uint64(g.rng.Intn(LinesPerPage))
-	g.runLeft = 1 + g.rng.Geometric(g.spec.SeqRun-1)
+	g.runLeft = 1 + g.rng.Geometric(g.runGeo)
 }
 
 // addr builds the byte address for (line, word), wrapping within the
@@ -216,7 +230,7 @@ func (g *Generator) Next() cpu.MemOp {
 
 	sp := &g.spec
 	op := cpu.MemOp{
-		Gap:   g.rng.Geometric(sp.GapMean),
+		Gap:   g.rng.Geometric(g.gapGeo),
 		Store: g.rng.Bool(sp.StoreFrac),
 	}
 
@@ -248,7 +262,7 @@ func (g *Generator) Next() cpu.MemOp {
 		op.DepPrev = !op.Store
 		lineIdx = g.part + uint64(g.rng.Intn(int(g.lines)))
 		g.curLine = lineIdx
-		g.runLeft = 1 + g.rng.Geometric(sp.SeqRun-1)
+		g.runLeft = 1 + g.rng.Geometric(g.runGeo)
 	default:
 		if g.runLeft <= 0 {
 			g.jump()
@@ -273,7 +287,7 @@ func (g *Generator) Next() cpu.MemOp {
 		gapOps := 1 + int(sp.ReuseGapMean/(sp.GapMean+1))
 		g.pending[(g.pendHead+g.pendCount)&7] = delayed{
 			op: cpu.MemOp{
-				Gap:   g.rng.Geometric(sp.ReuseGapMean),
+				Gap:   g.rng.Geometric(g.reuseGeo),
 				Addr:  g.addr(lineIdx, w2),
 				Store: g.rng.Bool(sp.StoreFrac),
 			},

@@ -220,6 +220,12 @@ func MemoryIntensive() []string {
 	return []string{"libquantum", "leslie3d", "mcf", "lbm", "stream", "mg"}
 }
 
+// maxFootprintMB bounds FootprintMB so that every line index a
+// generator remembers fits its 32-bit reuse-history ring: 2^31 lines,
+// leaving as many again for a sequential run carried past the
+// footprint's end (indices are stored unwrapped).
+const maxFootprintMB = (1 << 31) * 64 / (1 << 20)
+
 // FootprintLines converts the spec footprint to 64-byte lines.
 func (s Spec) FootprintLines() uint64 { return uint64(s.FootprintMB) * 1024 * 1024 / 64 }
 
@@ -237,6 +243,9 @@ func (s Spec) Validate() error {
 	}
 	if s.GapMean <= 0 || s.FootprintMB <= 0 {
 		return fmt.Errorf("workload %s: non-positive gap or footprint", s.Name)
+	}
+	if s.FootprintMB > maxFootprintMB {
+		return fmt.Errorf("workload %s: footprint %d MB exceeds %d MB, whose line indices fit 32 bits", s.Name, s.FootprintMB, maxFootprintMB)
 	}
 	if s.StoreFrac < 0 || s.StoreFrac > 1 || s.DepFrac < 0 || s.DepFrac > 1 ||
 		s.ReuseProb < 0 || s.ReuseProb > 1 {

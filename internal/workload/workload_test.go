@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"hetsim/internal/cache"
+	"hetsim/internal/sim"
 )
 
 func TestAllSpecsValidate(t *testing.T) {
@@ -364,4 +367,73 @@ func TestRevisitedLinesKeepPreferredWord(t *testing.T) {
 	if f := float64(dominated) / float64(checked); f < 0.6 {
 		t.Errorf("dominant-word fraction among revisited lines = %v", f)
 	}
+}
+
+// perCallGeometric is the geometric draw as it was written before
+// sim.Geo: the denominator's logarithm recomputed at every call.
+func perCallGeometric(r *sim.RNG, mean float64) int {
+	if mean <= 0 {
+		return 0
+	}
+	p := 1 / (1 + mean)
+	u := r.Float64()
+	g := int(math.Log(1-u) / math.Log(1-p))
+	if g < 0 {
+		g = 0
+	}
+	return g
+}
+
+// The generator's geometric draws, one sim.Geo per mean, must equal
+// the per-call formula draw for draw, and consume the same randomness,
+// for every mean a registered spec asks for (and the edge means).
+func TestGeoMatchesPerCallFormula(t *testing.T) {
+	means := []float64{0, -1, 1e-300, 0.5, 1e20}
+	for _, n := range Names() {
+		s, _ := Get(n)
+		means = append(means, s.GapMean, s.SeqRun-1, s.ReuseGapMean)
+	}
+	for _, mean := range means {
+		a, b := sim.NewRNG(uint64(len(means))), sim.NewRNG(uint64(len(means)))
+		geo := sim.NewGeo(mean)
+		for i := 0; i < 20000; i++ {
+			if x, y := b.Geometric(geo), perCallGeometric(a, mean); x != y {
+				t.Fatalf("mean %v draw %d: Geo %d, per-call formula %d", mean, i, x, y)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("mean %v: the two forms consumed different randomness", mean)
+		}
+	}
+}
+
+// The reuse-history ring is 32 bits wide: Validate rejects a footprint
+// whose line indices could outgrow it, a remembered index keeps all 32
+// bits, and one that does not fit panics instead of being truncated.
+func TestReuseRingWidth(t *testing.T) {
+	s, _ := Get("mcf")
+	s.FootprintMB = maxFootprintMB
+	if err := s.Validate(); err != nil {
+		t.Fatalf("largest footprint rejected: %v", err)
+	}
+	s.FootprintMB++
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "32 bits") {
+		t.Fatalf("footprint past 32-bit line indices: err = %v", err)
+	}
+
+	g := NewGenerator(s, 0, 1, 0, 1)
+	for i := 0; i < 64; i++ {
+		g.remember(math.MaxUint32)
+	}
+	if la, ok := g.recallLine(); !ok || la != math.MaxUint32 {
+		t.Fatalf("recalled %d (%v), want %d", la, ok, uint64(math.MaxUint32))
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "does not fit the 32-bit reuse-history ring") {
+			t.Fatalf("out-of-range index: recovered %q, want the ring-width panic", msg)
+		}
+	}()
+	g.remember(math.MaxUint32 + 1)
+	t.Fatal("out-of-range index was stored")
 }
