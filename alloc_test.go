@@ -1,6 +1,7 @@
 package hetsim_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -45,6 +46,37 @@ func TestAllocationBudget(t *testing.T) {
 	if avg > allocBudget {
 		t.Fatalf("run allocated %.0f objects, budget %d (~2x baseline); "+
 			"the event kernel has regressed", avg, allocBudget)
+	}
+}
+
+// systemBytesBudget is the byte ceiling for building one RL(8) mcf
+// system, 1.25x the measured 2.68 MB. Most of it is the LLC's flat tag
+// arrays and the eight generators' 32-bit reuse-history rings; the
+// record-per-line LLC and 64-bit rings they replaced took 4.39 MB.
+const systemBytesBudget = 3_345_000
+
+// TestSystemBytesBudget pins the bytes NewSystem allocates, so the
+// per-cell construction footprint cannot creep back. It takes the
+// least of three builds, each after a collection, so a stray
+// allocation elsewhere in the process does not count.
+func TestSystemBytesBudget(t *testing.T) {
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		sys, err := hetsim.NewSystem(hetsim.RL(8), "mcf")
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(sys)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("NewSystem(RL(8), mcf) allocated %d bytes", least)
+	if least > systemBytesBudget {
+		t.Fatalf("NewSystem(RL(8), mcf) allocated %d bytes, budget %d (1.25x baseline); "+
+			"system state has grown", least, systemBytesBudget)
 	}
 }
 
