@@ -32,7 +32,6 @@ type cell struct {
 	mu     sync.Mutex
 	state  string // "pending" | "done" | "failed" | "poisoned"
 	errMsg string
-	header []string
 	row    []string
 }
 
@@ -531,7 +530,6 @@ func (s *Server) complete(j *job, c *cell, res core.Results, err error) {
 	if err != nil {
 		c.errMsg = err.Error()
 	} else {
-		c.header = res.CSVHeader()
 		c.row = res.CSVRow()
 	}
 	c.mu.Unlock()
@@ -561,6 +559,15 @@ func (s *Server) complete(j *job, c *cell, res core.Results, err error) {
 		j.failed++
 	}
 	j.epochLog = append(j.epochLog, chunk...)
+	if j.finished() {
+		// The job holds every row and epoch and the store every result,
+		// so the runner forgets the job's runs before anyone sees it end.
+		cells := make([]grid.Cell, len(j.Cells))
+		for i := range j.Cells {
+			cells[i] = j.Cells[i].Cell
+		}
+		s.runner.Release(cells...)
+	}
 	j.mu.Unlock()
 	j.cond.Broadcast()
 }
@@ -759,20 +766,19 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/csv")
 	cw := csv.NewWriter(w)
-	wroteHeader := false
+	header := append([]string{"param", "value", "bench"}, core.Results{}.CSVHeader()...)
 	for _, c := range j.Cells {
 		c.mu.Lock()
-		state, header, row := c.state, c.header, c.row
-		bench, value := c.Bench, c.Value
+		state, row := c.state, c.row
 		c.mu.Unlock()
 		if state != "done" {
 			continue
 		}
-		if !wroteHeader {
-			cw.Write(append([]string{"param", "value", "bench"}, header...))
-			wroteHeader = true
+		if header != nil {
+			cw.Write(header)
+			header = nil
 		}
-		cw.Write(append([]string{j.Spec.Param, value, bench}, row...))
+		cw.Write(append([]string{j.Spec.Param, c.Value, c.Bench}, row...))
 	}
 	cw.Flush()
 }

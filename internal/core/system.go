@@ -684,7 +684,7 @@ func (s *System) syncCores(t sim.Cycle) {
 // deadlockReport diagnoses a no-progress state: every core blocked on a
 // memory response with an empty event queue means a wake was lost, and
 // the counters below say where to look. The panic is recovered into a
-// per-task error by the run harness (internal/runpool).
+// per-run error by the run harness (exp.Runner).
 func (s *System) deadlockReport(now sim.Cycle) string {
 	waiting := 0
 	for _, c := range s.Cores {

@@ -17,13 +17,14 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
 	"hetsim/internal/core"
 	"hetsim/internal/faults"
 	"hetsim/internal/grid"
-	"hetsim/internal/runpool"
 	"hetsim/internal/store"
 	"hetsim/internal/telemetry"
 	"hetsim/internal/workload"
@@ -59,6 +60,9 @@ func (o Options) withDefaults() Options {
 	if o.NCores == 0 {
 		o.NCores = 8
 	}
+	if o.Workers <= 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
+	}
 	if o.Scale == (core.RunScale{}) {
 		o.Scale = core.BenchScale()
 	}
@@ -71,65 +75,98 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Runner executes and memoizes grid cells. It is safe for concurrent
-// use: callers submit whole sweeps up front and collect results in
-// deterministic order.
+// Runner executes and memoizes grid cells on at most Opts.Workers
+// goroutines, starting them in the order they were submitted. It is
+// safe for concurrent use: callers submit whole sweeps up front and
+// collect results in deterministic order.
 type Runner struct {
 	Opts Options
-	// pool is keyed by each cell's store key, a comparable struct (see
-	// core.ConfigKey), so configs differing in any behaviour-relevant
-	// field can never alias one memo entry.
-	pool *runpool.Pool[store.RunKey, core.Results]
 	// prewarms holds the prewarm checkpoints of the cells queued or
-	// running on pool, each built once and dropped with its last cell.
+	// running, each built once and dropped with its last cell.
 	prewarms *core.Checkpoints
+
+	mu sync.Mutex
+	// memo is keyed by each cell's store key, a comparable struct (see
+	// core.ConfigKey), so configs differing in any behaviour-relevant
+	// field can never alias one entry. It holds a run from its first
+	// Start until Release.
+	memo    map[store.RunKey]*Task
+	queue   []*Task // runs not yet started, oldest first
+	running int     // worker goroutines alive
+	stats   Stats
+	epochs  []telemetry.Run
 
 	logMu sync.Mutex
 	done  int
+}
 
-	epochMu sync.Mutex
-	epochs  []telemetry.Run
+// Task is the future of one run. The first Start of a key makes it,
+// and later Starts of the key join it until the key is released.
+type Task struct {
+	done chan struct{}
+	run  func() (core.Results, error) // nil once started
+	res  core.Results
+	err  error
+}
+
+// Wait blocks until the run has finished and returns its result. Wait
+// may be called any number of times from any goroutine.
+func (t *Task) Wait() (core.Results, error) {
+	<-t.done
+	return t.res, t.err
+}
+
+// Stats counts runner activity.
+type Stats struct {
+	Submitted int // distinct runs accepted
+	Deduped   int // submissions that joined a memoized run
+	Executed  int // runs finished, a panicking one included
+	Held      int // runs memoized now, in flight or finished
 }
 
 // NewRunner builds a runner.
 func NewRunner(opts Options) *Runner {
-	opts = opts.withDefaults()
-	return &Runner{Opts: opts, pool: runpool.New[store.RunKey, core.Results](opts.Workers),
-		prewarms: core.NewCheckpoints()}
+	return &Runner{Opts: opts.withDefaults(), prewarms: core.NewCheckpoints(),
+		memo: make(map[store.RunKey]*Task)}
 }
 
-// Stats reports pool activity: distinct runs submitted/executed and
-// how many submissions were deduplicated onto in-flight or memoized
-// runs.
-func (r *Runner) Stats() runpool.Stats { return r.pool.Stats() }
+// Stats reports distinct runs submitted and executed, how many
+// submissions joined a memoized run, and how many runs it holds now.
+func (r *Runner) Stats() Stats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.stats
+	s.Held = len(r.memo)
+	return s
+}
 
 // Prewarms reports the runner's prewarm checkpoint counts: replays
 // built, restores that reused one, and checkpoints held now.
 func (r *Runner) Prewarms() core.CheckpointStats { return r.prewarms.Stats() }
 
 // Workers reports the effective parallel run bound.
-func (r *Runner) Workers() int { return r.pool.Workers() }
+func (r *Runner) Workers() int { return r.Opts.Workers }
 
 // Step computes the Results of cell c, whose store key is key,
 // restoring its prewarm checkpoints from cps.
 type Step func(key store.RunKey, c grid.Cell, cps *core.Checkpoints) (core.Results, error)
 
-// Start schedules cells on the pool in order and returns their futures
-// without waiting; step runs each new cell (nil: ReadThrough on
-// Opts.Store). A cell already scheduled or finished joins that run.
-// Every cell holds its prewarm checkpoints before any starts, so one
-// that finishes first cannot drop a checkpoint a later one restores.
-func (r *Runner) Start(step Step, cells ...grid.Cell) []*runpool.Task[core.Results] {
+// Start schedules cells in order and returns their futures without
+// waiting; step runs each new cell (nil: ReadThrough on Opts.Store). A
+// cell already scheduled or memoized joins that run. Every cell holds
+// its prewarm checkpoints before any starts, so one that finishes
+// first cannot drop a checkpoint a later one restores.
+func (r *Runner) Start(step Step, cells ...grid.Cell) []*Task {
 	prewarms := make([][]core.CheckpointKey, len(cells))
 	for i, c := range cells {
 		prewarms[i] = c.Prewarms()
 		r.prewarms.Acquire(prewarms[i]...)
 	}
-	tasks := make([]*runpool.Task[core.Results], len(cells))
+	tasks := make([]*Task, len(cells))
 	for i, c := range cells {
 		key := c.Key()
 		var created bool
-		tasks[i], created = r.pool.Submit(key, r.task(step, key, c, prewarms[i]))
+		tasks[i], created = r.submit(key, r.task(step, key, c, prewarms[i]))
 		if !created {
 			r.prewarms.Release(prewarms[i]...)
 		}
@@ -137,7 +174,78 @@ func (r *Runner) Start(step Step, cells ...grid.Cell) []*runpool.Task[core.Resul
 	return tasks
 }
 
-// task is the pool job that runs c through step, then releases prewarms.
+// Release forgets the finished runs of cells, so a later Start of one
+// runs it again (reading through the store, if any). Runs still in
+// flight stay memoized, and a Task already handed out still answers
+// Wait.
+func (r *Runner) Release(cells ...grid.Cell) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, c := range cells {
+		key := c.Key()
+		if t := r.memo[key]; t != nil {
+			select {
+			case <-t.done:
+				delete(r.memo, key)
+			default: // in flight: a later Start may still join it
+			}
+		}
+	}
+}
+
+// submit returns key's memoized Task, or memoizes and queues a new one
+// that runs fn; created reports the latter.
+func (r *Runner) submit(key store.RunKey, fn func() (core.Results, error)) (t *Task, created bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if t := r.memo[key]; t != nil {
+		r.stats.Deduped++
+		return t, false
+	}
+	t = &Task{done: make(chan struct{}), run: fn}
+	r.memo[key] = t
+	r.queue = append(r.queue, t)
+	r.stats.Submitted++
+	if r.running < r.Opts.Workers {
+		r.running++
+		go r.work()
+	}
+	return t, true
+}
+
+// work runs queued Tasks, oldest first, until the queue is empty.
+func (r *Runner) work() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for len(r.queue) > 0 {
+		t := r.queue[0]
+		r.queue[0] = nil
+		r.queue = r.queue[1:]
+		run := t.run
+		t.run = nil // the memo keeps the result, not the cell and step
+		r.mu.Unlock()
+		t.res, t.err = guard(run)
+		r.mu.Lock()
+		r.stats.Executed++
+		close(t.done)
+	}
+	r.running--
+}
+
+// guard runs fn, recovering a panic into its error. One crashing
+// (config, benchmark) pair must fail its own entry, not take down the
+// process and every sibling run with it; the stack text is kept so the
+// crash stays diagnosable.
+func guard(fn func() (core.Results, error)) (res core.Results, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("exp: run panicked: %v\n%s", p, debug.Stack())
+		}
+	}()
+	return fn()
+}
+
+// task is the job that runs c through step, then releases prewarms.
 func (r *Runner) task(step Step, key store.RunKey, c grid.Cell, prewarms []core.CheckpointKey) func() (core.Results, error) {
 	return func() (core.Results, error) {
 		defer r.prewarms.Release(prewarms...)
@@ -212,11 +320,11 @@ func (r *Runner) progress(cfgName, bench string, d time.Duration) {
 	defer r.logMu.Unlock()
 	r.done++
 	fmt.Fprintf(r.Opts.Log, "  [%3d/%3d] %-12s on %-18s %7.2fs\n",
-		r.done, r.pool.Stats().Submitted, bench, cfgName, d.Seconds())
+		r.done, r.Stats().Submitted, bench, cfgName, d.Seconds())
 }
 
 // Submit enqueues every (config, benchmark) pair of the sweep without
-// waiting: figure functions call it up front so the pool can saturate
+// waiting: figure functions call it up front so the runner can saturate
 // its workers while the collection loop blocks on results in
 // deterministic order. Errors surface when the pair is collected.
 //
@@ -248,7 +356,7 @@ func (r *Runner) Run(cfg core.SystemConfig, bench string) (core.Results, error) 
 	// for one it has, this skips computing and holding its keys.
 	c := r.cell(cfg, bench)
 	key := c.Key()
-	t, _ := r.pool.Submit(key, r.task(nil, key, c, nil))
+	t, _ := r.submit(key, r.task(nil, key, c, nil))
 	res, err := t.Wait()
 	if err != nil {
 		return res, err

@@ -175,9 +175,7 @@ type Controller struct {
 
 	// Preallocated event handlers: every recurring engine event the
 	// controller schedules dispatches on one of these instead of a fresh
-	// closure (the tick loop alone used to allocate one closure per DRAM
-	// bus cycle).
-	tickH  tickDispatch
+	// closure. The tick runs from tickT instead.
 	maintH maintDispatch
 	sleepH sleepDispatch
 	compH  completeDispatch
@@ -185,8 +183,7 @@ type Controller struct {
 	Stats Stat
 }
 
-// tickDispatch runs the scheduling step, from a heap event in the
-// per-cycle reference mode and from the tick timer otherwise.
+// tickDispatch runs the scheduling step from the tick timer.
 type tickDispatch struct{ c *Controller }
 
 func (d tickDispatch) OnEvent(any) { d.c.tick() }
@@ -247,8 +244,7 @@ func New(eng *sim.Engine, ch *dram.Channel, cfg Config) *Controller {
 	}
 	c.rdq.init(nBanks)
 	c.wrq.init(nBanks)
-	c.tickH = tickDispatch{c}
-	c.tickT = eng.NewTimer(c.tickH)
+	c.tickT = eng.NewTimer(tickDispatch{c})
 	c.maintH = maintDispatch{c}
 	c.sleepH = sleepDispatch{c}
 	c.compH = completeDispatch{c}
@@ -337,14 +333,6 @@ func (c *Controller) wakeRank(rk int) {
 // from the next grid cycle on, because the current cycle's tick already
 // fired before the cores stepped.
 func (c *Controller) kick() {
-	if c.Cfg.PerCycle {
-		if c.ticking {
-			return
-		}
-		c.ticking = true
-		c.Eng.ScheduleEvent(0, c.tickH, nil)
-		return
-	}
 	now := c.Eng.Now()
 	if c.ticking {
 		var g sim.Cycle
@@ -397,7 +385,8 @@ func (c *Controller) hint(at sim.Cycle) {
 // command. In skipping mode the next tick is armed at the earliest
 // cycle anything can change — one bus cycle after an issue, or the
 // minimum next-actionable hint gathered from the failed probes — so
-// timing-blocked windows cost one event instead of thousands.
+// timing-blocked windows cost one event instead of thousands. Under
+// PerCycle the next tick is always one bus cycle later.
 func (c *Controller) tick() {
 	now := c.Eng.Now()
 	c.scanNow = now
@@ -412,12 +401,8 @@ func (c *Controller) tick() {
 	}
 
 	if c.rdq.n > 0 || c.wrq.n > 0 || c.refreshPending(now) {
-		if c.Cfg.PerCycle {
-			c.Eng.ScheduleEvent(c.busCycle(), c.tickH, nil)
-			return
-		}
 		next := now + c.busCycle()
-		if !issued {
+		if !issued && !c.Cfg.PerCycle {
 			c.promoteHints(now, &c.rdq)
 			c.promoteHints(now, &c.wrq)
 			if c.nextReady < dram.Never {
