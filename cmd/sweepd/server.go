@@ -491,7 +491,7 @@ func (s *Server) runLeased(key store.RunKey, c grid.Cell, cps *core.Checkpoints)
 
 // runCell runs the cell through the read-through step, with the cell
 // deadline and the drain-abort flag folded into one polled cancel
-// hook, which Cell.Run latches. hit reports a store hit.
+// hook, which the simulator latches. hit reports a store hit.
 func (s *Server) runCell(key store.RunKey, run grid.Cell, cps *core.Checkpoints) (res core.Results, hit bool, err error) {
 	var deadline time.Time
 	if s.opts.CellTimeout > 0 {
@@ -501,7 +501,7 @@ func (s *Server) runCell(key store.RunKey, run grid.Cell, cps *core.Checkpoints)
 		return s.aborting.Load() || (!deadline.IsZero() && time.Now().After(deadline))
 	}
 	res, hit, err = exp.ReadThrough(s.cache, key, run, cps, s.logf)
-	if errors.Is(err, grid.ErrCanceled) {
+	if errors.Is(err, core.ErrCanceled) {
 		if s.aborting.Load() {
 			return core.Results{}, false, fmt.Errorf("sweepd: run aborted by drain deadline")
 		}

@@ -12,7 +12,7 @@
 // sub-channel with its own controller, while the remaining words and
 // ECC live on a low-power LPDDR2 (or DDR3) line channel.
 //
-// Quickstart:
+// Quickstart (Example_quickstart runs it against the DDR3 baseline):
 //
 //	cfg := hetsim.RL(8)                      // RLDRAM3 + LPDDR2 CWF system
 //	sys, err := hetsim.NewSystem(cfg, "mcf") // 8 copies of an mcf-like trace

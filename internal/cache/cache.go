@@ -248,12 +248,3 @@ func (c *Cache) Restore(s Snapshot) {
 	c.tick = s.tick
 	c.Stat = s.stat
 }
-
-// MissRate reports misses / (hits+misses), 0 when no accesses.
-func (s Stats) MissRate() float64 {
-	t := s.Hits + s.Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(t)
-}

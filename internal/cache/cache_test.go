@@ -127,17 +127,6 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Fatal("empty miss rate not 0")
-	}
-	s.Hits, s.Misses = 3, 1
-	if s.MissRate() != 0.25 {
-		t.Fatalf("miss rate = %v", s.MissRate())
-	}
-}
-
 // Property: the cache never holds more lines than its capacity and a
 // just-inserted line is always resident.
 func TestCapacityInvariantProperty(t *testing.T) {

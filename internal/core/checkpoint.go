@@ -201,14 +201,14 @@ func (cs *Checkpoints) prewarm(k CheckpointKey, s *System) {
 }
 
 // reference returns the IPC of the stand-alone reference rk under the
-// one-core key k, which run computes; whole reports that run was not
-// cut short by its Cancel hook. While k is held the reference runs
-// once: the first cell to need it runs it and later cells read its
-// IPC, waiting for it if it is still running. A reference cut short is
-// never shared: its cell gets the partial IPC (and discards it), and the
-// next cell to need it, a waiting one included, runs it itself. Without
-// a holder, and through a nil set, every call runs.
-func (cs *Checkpoints) reference(k CheckpointKey, rk refKey, run func() (ipc float64, whole bool, err error)) (float64, error) {
+// one-core key k, which run computes. While k is held the reference
+// runs once: the first cell to need it runs it and later cells read its
+// IPC, waiting for it if it is still running. A run that returned an
+// error (ErrCanceled included) is never shared: its cell gets the
+// error, and the next cell to need the reference, a waiting one
+// included, runs it itself. Without a holder, and through a nil set,
+// every call runs.
+func (cs *Checkpoints) reference(k CheckpointKey, rk refKey, run func() (float64, error)) (float64, error) {
 	var e *heldCheckpoint
 	if cs != nil {
 		cs.mu.Lock()
@@ -216,8 +216,7 @@ func (cs *Checkpoints) reference(k CheckpointKey, rk refKey, run func() (ipc flo
 		cs.mu.Unlock()
 	}
 	if e == nil {
-		ipc, _, err := run()
-		return ipc, err
+		return run()
 	}
 	cs.mu.Lock()
 	for {
@@ -248,8 +247,8 @@ func (cs *Checkpoints) reference(k CheckpointKey, rk refKey, run func() (ipc flo
 		cs.mu.Unlock()
 		close(r.done)
 	}()
-	ipc, whole, err := run()
-	r.ipc, r.ok = ipc, whole && err == nil
+	ipc, err := run()
+	r.ipc, r.ok = ipc, err == nil
 	return ipc, err
 }
 

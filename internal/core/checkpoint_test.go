@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -73,5 +74,30 @@ func TestSharedCheckpointDifferential(t *testing.T) {
 	fresh := replay(key, newLLC(), Generators(spec, key.Cores, key.Seed))
 	if !reflect.DeepEqual(shared, fresh) {
 		t.Error("the shared checkpoint changed under the systems that restored it")
+	}
+}
+
+// TestRunPairStopsAtCutSharedRun cuts a pair's shared run with every
+// key held: RunPair must return ErrCanceled without starting either
+// stand-alone reference, so only the shared system's prewarm is touched
+// and no reference is kept.
+func TestRunPairStopsAtCutSharedRun(t *testing.T) {
+	scale := RunScale{PrewarmOps: 2000, WarmupReads: 50, MeasureReads: 300, MaxCycles: 20_000_000}
+	cfg, spec := RL(2), mustSpec(t, "mcf")
+	keys := PrewarmKeys(cfg, spec, scale, true)
+	cps := NewCheckpoints()
+	cps.Acquire(keys...)
+	defer cps.Release(keys...)
+	// The hook fires at the shared run's first stop poll after its
+	// prewarm restore, and at every poll after that.
+	cfg.Cancel = func() bool {
+		st := cps.Stats()
+		return st.Built+st.Reused >= 1
+	}
+	if _, err := RunPair(cfg, spec, scale, cps); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if st := cps.Stats(); st.Built+st.Reused != 1 || st.RefsRun != 0 {
+		t.Errorf("stats = %+v, want one prewarm touched and no reference kept", st)
 	}
 }

@@ -108,8 +108,8 @@ type SystemConfig struct {
 	// Cancel, when set, is polled on the drive loop's stop grid (every
 	// 64 simulated cycles): returning true ends the current drive at
 	// the next grid point, truncating the run. The sweep layers thread
-	// per-cell deadlines and context cancellation through it; a caller
-	// that observes its Cancel fired must discard the partial Results.
+	// per-cell deadlines and context cancellation through it, and
+	// RunWith reports a run it cut short as ErrCanceled.
 	// Like TraceFn, an execution-control hook — not part of a
 	// configuration's identity (a run that completes was never
 	// affected by it).

@@ -51,7 +51,7 @@ func runObservedWith(cfg SystemConfig, spec workload.Spec, scale RunScale, cps *
 		out.err = err
 		return out
 	}
-	out.res = sys.RunWith(scale, cps)
+	out.res, out.err = sys.RunWith(scale, cps)
 	var buf bytes.Buffer
 	if out.res.Epochs != nil {
 		out.err = out.res.Epochs.WriteJSONL(&buf, nil, nil)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -413,30 +414,47 @@ func (r Results) Clone() Results {
 	return out
 }
 
+// ErrCanceled reports a run that Cfg.Cancel cut short. The partial
+// Results are discarded: a canceled run is an error, never a shorter
+// answer.
+var ErrCanceled = errors.New("core: run canceled")
+
 // Run executes prewarm, warmup, then a measured window, building the
-// prewarm checkpoint privately (see RunWith).
-func (s *System) Run(scale RunScale) Results { return s.RunWith(scale, nil) }
+// prewarm checkpoint privately (see RunWith). A run Cfg.Cancel cut
+// short returns zero Results.
+func (s *System) Run(scale RunScale) Results {
+	res, _ := s.RunWith(scale, nil)
+	return res
+}
 
 // RunWith is Run with the prewarm checkpoint restored from cps, built
 // there by the first system that needs it; through a nil cps the
 // system replays its prewarm in place. A later Run resumes the machine as the last one left it, so only
-// the first restores a checkpoint.
-func (s *System) RunWith(scale RunScale, cps *Checkpoints) Results {
+// the first restores a checkpoint. It returns ErrCanceled when
+// Cfg.Cancel cut a drive short.
+func (s *System) RunWith(scale RunScale, cps *Checkpoints) (Results, error) {
 	if !s.started {
 		s.started = true
 		s.prewarm(scale.PrewarmOps, cps)
 	}
-	// withCancel folds Cfg.Cancel into a stop condition: a fired
-	// deadline or context ends the drive at the next stop-grid point.
-	// With Cancel nil (or never firing) the closure is pass-through, so
-	// completed runs are bit-identical whether or not a deadline was
-	// armed.
+	// withCancel folds Cfg.Cancel into a stop condition and latches it:
+	// a fired deadline or context ends the drive at the next stop-grid
+	// point and marks the run cut. With Cancel nil (or never firing)
+	// the closure is pass-through, so completed runs are bit-identical
+	// whether or not a deadline was armed.
+	cut := false
 	withCancel := func(stop func() bool) func() bool {
 		c := s.Cfg.Cancel
 		if c == nil {
 			return stop
 		}
-		return func() bool { return c() || stop() }
+		return func() bool {
+			if c() {
+				cut = true
+				return true
+			}
+			return stop()
+		}
 	}
 	// Warmup.
 	warmTarget := s.Hier.Stat.DemandFills + scale.WarmupReads
@@ -459,6 +477,9 @@ func (s *System) RunWith(scale RunScale, cps *Checkpoints) Results {
 	target := s.Hier.Stat.DemandFills + scale.MeasureReads
 	s.drive(withCancel(func() bool { return s.Hier.Stat.DemandFills >= target }),
 		start.Cycle+scale.MaxCycles)
+	if cut {
+		return Results{}, ErrCanceled
+	}
 	end := s.Reg.Snapshot(s.Eng.Now())
 
 	res := s.collect(telemetry.NewView(s.Reg, start, end))
@@ -466,7 +487,7 @@ func (s *System) RunWith(scale RunScale, cps *Checkpoints) Results {
 		res.Epochs = s.sampler.Series()
 		s.sampler = nil
 	}
-	return res
+	return res, nil
 }
 
 // prewarm brings the system to the checkpoint of ops replayed
@@ -705,13 +726,17 @@ func (s *System) deadlockReport(now sim.Cycle) string {
 // the paper's normalized figures read. The three systems restore their
 // prewarm checkpoints from cps (see RunWith and PrewarmKeys), and the
 // two stand-alone references are shared through cps by every cell of
-// the benchmark that holds the one-core key (see aloneIPC).
+// the benchmark that holds the one-core key (see aloneIPC). The pair
+// returns ErrCanceled at the first system Cfg.Cancel cuts short.
 func RunPair(cfg SystemConfig, spec workload.Spec, scale RunScale, cps *Checkpoints) (Results, error) {
 	sharedSys, err := NewSystem(cfg, spec)
 	if err != nil {
 		return Results{}, err
 	}
-	res := sharedSys.RunWith(scale, cps)
+	res, err := sharedSys.RunWith(scale, cps)
+	if err != nil {
+		return Results{}, err
+	}
 
 	aloneScale := scale
 	aloneScale.WarmupReads = scale.WarmupReads / 4
@@ -752,29 +777,19 @@ func RunPair(cfg SystemConfig, spec workload.Spec, scale RunScale, cps *Checkpoi
 // later cells read its IPC (Checkpoints.reference). A system that
 // traces its fills always runs, so its trace is whole.
 func aloneIPC(cfg SystemConfig, spec workload.Spec, scale RunScale, cps *Checkpoints) (float64, error) {
-	run := func() (ipc float64, whole bool, err error) {
-		cut := false
-		if cancel := cfg.Cancel; cancel != nil {
-			cfg.Cancel = func() bool {
-				if cancel() {
-					cut = true
-					return true
-				}
-				return false
-			}
-		}
+	run := func() (float64, error) {
 		sys, err := NewSystem(cfg, spec)
 		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
-		if res := sys.RunWith(scale, cps); len(res.IPCs) > 0 {
-			ipc = res.IPCs[0]
+		res, err := sys.RunWith(scale, cps)
+		if err != nil || len(res.IPCs) == 0 {
+			return 0, err
 		}
-		return ipc, !cut, nil
+		return res.IPCs[0], nil
 	}
 	if cfg.TraceFn != nil {
-		ipc, _, err := run()
-		return ipc, err
+		return run()
 	}
 	k := CheckpointKey{spec, 1, cfg.Seed, scale.PrewarmOps}
 	return cps.reference(k, refKey{cfg.Key(), scale}, run)

@@ -85,7 +85,7 @@ func TestPairReferencesShared(t *testing.T) {
 			st := cps.Stats()
 			return st.Built+st.Reused >= 2
 		}
-		if _, err := cut.Run(cps); !errors.Is(err, grid.ErrCanceled) {
+		if _, err := cut.Run(cps); !errors.Is(err, core.ErrCanceled) {
 			t.Fatalf("cell cut inside its reference: err = %v, want ErrCanceled", err)
 		}
 		if st := cps.Stats(); st.RefsRun != 0 || st.RefsReused != 0 {

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -126,11 +125,6 @@ func (s Sweep) Cells() ([]Cell, error) {
 	return cells, nil
 }
 
-// ErrCanceled reports a run that Cfg.Cancel truncated. The partial
-// Results are discarded: a canceled run is an error, never a shorter
-// answer.
-var ErrCanceled = errors.New("grid: run canceled")
-
 // Cell is one grid point: a benchmark under a resolved configuration
 // and run scale. Value is the swept parameter's value ("" when the
 // spec has no parameter axis); Pair selects core.RunPair, whose
@@ -161,41 +155,19 @@ func (c Cell) Prewarms() []core.CheckpointKey {
 // Run simulates the cell: the shared run plus its stand-alone
 // references when Pair is set, the lone system otherwise. Each system
 // restores its prewarm checkpoint from cps (nil: each replays its own).
-// Cfg.Cancel is latched: only a run the simulator actually truncated
-// returns ErrCanceled — a run that finished just before its deadline
-// is a result, not an error.
+// A run Cfg.Cancel cut short returns core.ErrCanceled — a run that
+// finished just before its deadline is a result, not an error.
 func (c Cell) Run(cps *core.Checkpoints) (core.Results, error) {
 	spec, err := workload.Get(c.Bench)
 	if err != nil {
 		return core.Results{}, err
 	}
-	cfg := c.Cfg
-	// The simulation polls the hook on this goroutine only (RunPair's
-	// three systems run one after another), so a plain bool latches.
-	tripped := false
-	if cancel := cfg.Cancel; cancel != nil {
-		cfg.Cancel = func() bool {
-			if cancel() {
-				tripped = true
-				return true
-			}
-			return false
-		}
-	}
-	var res core.Results
 	if c.Pair {
-		res, err = core.RunPair(cfg, spec, c.Scale, cps)
-	} else {
-		var sys *core.System
-		if sys, err = core.NewSystem(cfg, spec); err == nil {
-			res = sys.RunWith(c.Scale, cps)
-		}
+		return core.RunPair(c.Cfg, spec, c.Scale, cps)
 	}
+	sys, err := core.NewSystem(c.Cfg, spec)
 	if err != nil {
 		return core.Results{}, err
 	}
-	if tripped {
-		return core.Results{}, ErrCanceled
-	}
-	return res, nil
+	return sys.RunWith(c.Scale, cps)
 }

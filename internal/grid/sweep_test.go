@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hetsim/internal/core"
 	"hetsim/internal/faults"
 )
 
@@ -86,7 +87,7 @@ func runCell(t *testing.T, pair bool) Cell {
 }
 
 // TestCellRunCanceled: a Cancel hook that fires mid-run fails the cell
-// with ErrCanceled instead of returning a silently short result.
+// with core.ErrCanceled instead of returning a silently short result.
 func TestCellRunCanceled(t *testing.T) {
 	for _, pair := range []bool{true, false} {
 		c := runCell(t, pair)
@@ -95,7 +96,7 @@ func TestCellRunCanceled(t *testing.T) {
 			polls++
 			return polls > 50
 		}
-		if _, err := c.Run(nil); !errors.Is(err, ErrCanceled) {
+		if _, err := c.Run(nil); !errors.Is(err, core.ErrCanceled) {
 			t.Errorf("pair=%v: got %v, want ErrCanceled", pair, err)
 		}
 	}
@@ -103,13 +104,13 @@ func TestCellRunCanceled(t *testing.T) {
 
 // TestCellRunDeadlineCanceled arms an unmeetable deadline through the
 // hook, the way sweepd's -cell-timeout does, and checks the cell fails
-// with ErrCanceled instead of hanging or returning a short result.
+// with core.ErrCanceled instead of hanging or returning a short result.
 func TestCellRunDeadlineCanceled(t *testing.T) {
 	for _, pair := range []bool{true, false} {
 		c := runCell(t, pair)
 		deadline := time.Now().Add(time.Nanosecond)
 		c.Cfg.Cancel = func() bool { return time.Now().After(deadline) }
-		if _, err := c.Run(nil); !errors.Is(err, ErrCanceled) {
+		if _, err := c.Run(nil); !errors.Is(err, core.ErrCanceled) {
 			t.Errorf("pair=%v: got %v, want ErrCanceled", pair, err)
 		}
 	}
@@ -123,7 +124,7 @@ func TestCellRunContextCanceled(t *testing.T) {
 	for _, pair := range []bool{true, false} {
 		c := runCell(t, pair)
 		c.Cfg.Cancel = func() bool { return ctx.Err() != nil }
-		if _, err := c.Run(nil); !errors.Is(err, ErrCanceled) {
+		if _, err := c.Run(nil); !errors.Is(err, core.ErrCanceled) {
 			t.Errorf("pair=%v: got %v, want ErrCanceled", pair, err)
 		}
 	}

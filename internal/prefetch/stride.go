@@ -49,9 +49,6 @@ func New(cfg Config) *Prefetcher {
 	return &Prefetcher{cfg: cfg, streams: make([]stream, cfg.Streams)}
 }
 
-// Enabled reports whether the prefetcher does anything.
-func (p *Prefetcher) Enabled() bool { return len(p.streams) > 0 }
-
 // OnMiss trains on a demand miss at lineAddr and returns the line
 // addresses to prefetch (possibly none).
 func (p *Prefetcher) OnMiss(lineAddr uint64) []uint64 {

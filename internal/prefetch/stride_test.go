@@ -4,9 +4,6 @@ import "testing"
 
 func TestDisabled(t *testing.T) {
 	p := New(Config{})
-	if p.Enabled() {
-		t.Fatal("zero-stream prefetcher enabled")
-	}
 	if got := p.OnMiss(100); got != nil {
 		t.Fatal("disabled prefetcher issued")
 	}

@@ -21,9 +21,6 @@ type Mean struct {
 // Add records one sample.
 func (m *Mean) Add(v float64) { m.n++; m.sum += v }
 
-// AddN records a pre-aggregated sum of n samples.
-func (m *Mean) AddN(sum float64, n int64) { m.n += n; m.sum += sum }
-
 // N reports the number of samples.
 func (m *Mean) N() int64 { return m.n }
 
